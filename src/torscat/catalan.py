@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattice import FinLattice
+from .lattice import FinLattice, joins_are_unions
 from .poset import Ideal, Poset, interval_poset
 
 __all__ = [
@@ -103,26 +103,19 @@ def dyck_paths(n):
 def dyck_lattice(n):
     """Dyck paths with n up-steps under pointwise height dominance.
 
-    Meets and joins are the pointwise min/max of the height profiles; the
-    tables produced from the order are checked against that description.
+    Each path is encoded by its height profile in unary (bit i*(n+1)+h is
+    set for 1 <= h <= heights[i]), so dominance is inclusion and the
+    pointwise min/max of two profiles is their AND/OR.
     """
     paths = dyck_paths(n)
-    hs = [_heights(s) for s in paths]
-    k = len(paths)
-    index = {h: i for i, h in enumerate(hs)}
-    up = []
-    for i in range(k):
+    masks = []
+    for s in paths:
         m = 0
-        for j in range(k):
-            if all(a <= b for a, b in zip(hs[i], hs[j])):
-                m |= 1 << j
-        up.append(m)
-    L = FinLattice.from_order(up, labels=paths)
-    for a in range(k):
-        for b in range(a, k):
-            lo = tuple(min(x, y) for x, y in zip(hs[a], hs[b]))
-            hi = tuple(max(x, y) for x, y in zip(hs[a], hs[b]))
-            assert L.meet[a, b] == index[lo] and L.join[a, b] == index[hi]
+        for i, h in enumerate(_heights(s)):
+            m |= ((1 << h) - 1) << (i * (n + 1) + 1)
+        masks.append(m)
+    L = FinLattice.from_sets(masks, paths)
+    assert joins_are_unions(L, masks)  # joins are pointwise maxima
     return L
 
 
@@ -297,19 +290,11 @@ def typeA_torsion_lattice(n):
     """The lattice of symbolic type-A torsion classes, ordered by inclusion."""
     classes = typeA_torsion_classes(n)
     ivs, _ = _interval_index(n)
-    k = len(classes)
-    up = []
-    for a in range(k):
-        m = 0
-        for b in range(k):
-            if classes[a] & ~classes[b] == 0:
-                m |= 1 << b
-        up.append(m)
     labels = []
     for c in classes:
         mem = [f"M[{ivs[t][0]},{ivs[t][1]}]" for t in range(len(ivs)) if (c >> t) & 1]
         labels.append("{" + ",".join(mem) + "}")
-    return FinLattice.from_order(up, labels=labels)
+    return FinLattice.from_sets(classes, labels)
 
 
 def brick_forcing_poset(n):

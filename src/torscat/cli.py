@@ -12,7 +12,8 @@ import sys
 
 from .algebra import Algebra, AlgebraError, incidence_algebra, path_algebra_An, two_cycle_algebra
 from .catalan import dyck_lattice, tamari_lattice, typeA_torsion_lattice
-from .lattice import is_congruence_uniform, lattice_isomorphic
+from .lattice import FinLattice, is_congruence_uniform, lattice_isomorphic
+from .linalg import MAX_PRIME
 from .poset import Poset, interval_poset
 from .torsion import (
     BudgetExceeded,
@@ -62,12 +63,11 @@ def parse_algebra_spec(spec, p=2, opposite=False):
     elif spec.startswith("An:"):
         A = path_algebra_An(int(spec.split(":", 1)[1]), p=p)
     elif spec.startswith(("int:", "chain:", "antichain:")):
-        A = incidence_algebra(parse_poset_spec(spec, opposite), p=p)
-        return A
+        return incidence_algebra(parse_poset_spec(spec, opposite), p=p)
     else:
         with open(spec) as fh:
             A = Algebra.from_json(json.load(fh), p=p)
-    return A
+    return A.opposite() if opposite else A
 
 
 def _emit(args, text_lines, payload):
@@ -127,17 +127,7 @@ def cmd_omega(args):
         ctx = ModuleContext.for_algebra(A, args.dim_bound)
         TL = enumerate_torsion_pairs(ctx, class_cap=args.cap, time_budget=args.budget)
         keep = [i for i, pr in enumerate(TL.pairs) if is_omega_n(pr, args.n_pred)]
-        sub = {i: k for k, i in enumerate(keep)}
-        up = []
-        for a in keep:
-            m = 0
-            for b in keep:
-                if TL.leq(a, b):
-                    m |= 1 << sub[b]
-            up.append(m)
-        from .lattice import FinLattice
-
-        L = FinLattice.from_order(up, labels=[TL.labels[i] for i in keep])
+        L = FinLattice.from_sets([TL.pairs[i].tors_mask for i in keep], [TL.labels[i] for i in keep])
         route = f"full enumeration filtered by the omega_{args.n_pred} predicate"
     payload = {
         "poset_size": P.n,
@@ -294,7 +284,7 @@ def _add_common(parser, suppress):
     parser.add_argument("--dot", metavar="FILE", default=d,
                         help="write a DOT Hasse diagram to FILE")
     parser.add_argument("--op", action="store_true", default=default(False),
-                        help="use the opposite of the given poset")
+                        help="use the opposite of the given poset or algebra")
 
 
 def build_parser():
@@ -342,6 +332,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.field < 2 or any(args.field % q == 0 for q in range(2, int(args.field**0.5) + 1)):
         ap.error("--field must be a prime >= 2")
+    if args.field > MAX_PRIME:
+        ap.error(f"--field must be at most {MAX_PRIME} (matrix entries are stored as uint8)")
     try:
         return args.func(args)
     except UsageError as err:

@@ -17,6 +17,7 @@ from .poset import Poset, bits, covers_from_up, poset_isos
 __all__ = [
     "NotALattice",
     "FinLattice",
+    "joins_are_unions",
     "Congruence",
     "principal_congruence",
     "congruence_join",
@@ -55,60 +56,63 @@ class FinLattice:
         raise AttributeError("FinLattice is immutable")
 
     @classmethod
+    def from_sets(cls, masks, labels):
+        """The lattice of a family of sets (bitmasks) ordered by inclusion.
+
+        Element i is ``masks[i]``.  The meet of two members is their
+        intersection, which must be a member; the join is the least member
+        containing their union.  Raises NotALattice otherwise.
+        """
+        masks = [int(m) for m in masks]
+        n = len(masks)
+        if n == 0:
+            raise NotALattice(None, None, "bottom (empty order)")
+        index = {m: i for i, m in enumerate(masks)}
+        if len(index) != n:
+            raise ValueError("the sets of a lattice must be distinct")
+        # up[i] = members containing masks[i]: the AND of one column per point
+        column = {}
+        for i, m in enumerate(masks):
+            for t in bits(m):
+                column[t] = column.get(t, 0) | 1 << i
+        up = []
+        for m in masks:
+            u = (1 << n) - 1
+            for t in bits(m):
+                u &= column[t]
+            up.append(u)
+        # the upper bounds of a and b are up[a] & up[b]; their least element
+        # is the member whose up-set is exactly that mask
+        up_index = {u: i for i, u in enumerate(up)}
+        meet = np.zeros((n, n), dtype=np.int32)
+        join = np.zeros((n, n), dtype=np.int32)
+        for a in range(n):
+            ma, ua = masks[a], up[a]
+            for table, row, kind in (
+                (meet, [index.get(ma & mb, -1) for mb in masks[a:]], "meet"),
+                (join, [up_index.get(ua & ub, -1) for ub in up[a:]], "join"),
+            ):
+                if -1 in row:
+                    raise NotALattice(labels[a], labels[a + row.index(-1)], kind)
+                table[a, a:] = row
+                table[a:, a] = row
+        return cls(up, meet, join, labels)
+
+    @classmethod
     def from_order(cls, up, labels=None):
         """Build a lattice from an order relation; raises NotALattice.
 
-        ``up`` may be a Poset or a sequence of up-set bitmasks.
+        ``up`` may be a Poset or a sequence of up-set bitmasks.  In a
+        lattice the principal down-sets meet in the down-set of the meet,
+        so the lattice is the family of principal down-sets.
         """
         if isinstance(up, Poset):
             if labels is None:
                 labels = up.labels
             up = up.up
-        up = [int(m) for m in up]
-        n = len(up)
         if labels is None:
-            labels = [str(i) for i in range(n)]
-        if n == 0:
-            raise NotALattice(None, None, "bottom (empty order)")
-        Poset(labels, up)  # validates the order axioms
-
-        down = [1 << i for i in range(n)]
-        for i in range(n):
-            for j in bits(up[i]):
-                down[j] |= 1 << i
-        # work along a linear extension so lub = lowest set bit, glb = highest
-        order = sorted(range(n), key=lambda i: bin(down[i]).count("1"))
-        new_of_old = [0] * n
-        for k, i in enumerate(order):
-            new_of_old[i] = k
-
-        def translate(mask):
-            out = 0
-            for j in bits(mask):
-                out |= 1 << new_of_old[j]
-            return out
-
-        up2 = [translate(up[order[k]]) for k in range(n)]
-        dn2 = [translate(down[order[k]]) for k in range(n)]
-        meet = np.zeros((n, n), dtype=np.int32)
-        join = np.zeros((n, n), dtype=np.int32)
-        for a in range(n):
-            for b in range(a, n):
-                m = up2[a] & up2[b]
-                if m == 0:
-                    raise NotALattice(labels[order[a]], labels[order[b]], "join")
-                g = (m & -m).bit_length() - 1
-                if m & ~up2[g]:
-                    raise NotALattice(labels[order[a]], labels[order[b]], "join")
-                join[order[a], order[b]] = join[order[b], order[a]] = order[g]
-                m = dn2[a] & dn2[b]
-                if m == 0:
-                    raise NotALattice(labels[order[a]], labels[order[b]], "meet")
-                g = m.bit_length() - 1
-                if m & ~dn2[g]:
-                    raise NotALattice(labels[order[a]], labels[order[b]], "meet")
-                meet[order[a], order[b]] = meet[order[b], order[a]] = order[g]
-        return cls(up, meet, join, labels)
+            labels = [str(i) for i in range(len(up))]
+        return cls.from_sets(Poset(labels, up).down(), labels)
 
     # -- order queries -----------------------------------------------------
 
@@ -149,18 +153,6 @@ class FinLattice:
     def opposite(self):
         """The order-dual lattice: meets and joins exchanged."""
         return FinLattice(self.down(), self.join, self.meet, self.labels)
-
-    def join_of(self, elems):
-        acc = self.bottom()
-        for e in elems:
-            acc = int(self.join[acc, e])
-        return acc
-
-    def meet_of(self, elems):
-        acc = self.top()
-        for e in elems:
-            acc = int(self.meet[acc, e])
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, FinLattice):
@@ -238,6 +230,15 @@ class FinLattice:
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def joins_are_unions(L, masks):
+    """Whether every join in L, built by from_sets(masks, ...), is a union."""
+    return all(
+        masks[j] == ma | mb
+        for a, ma in enumerate(masks)
+        for j, mb in zip(L.join[a].tolist(), masks)
+    )
 
 
 # -- congruences -------------------------------------------------------------

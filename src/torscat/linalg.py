@@ -20,14 +20,18 @@ __all__ = [
     "hstack",
     "vstack",
     "backend_name",
+    "MAX_PRIME",
 ]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+MAX_PRIME = 255  # entries are stored as uint8
 
 
 def _check_prime(p):
     if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"field characteristic must be prime, got {p}")
+    if p > MAX_PRIME:
+        raise ValueError(f"field characteristic must be at most {MAX_PRIME} (uint8 entries), got {p}")
 
 
 class NoSolution(Exception):

@@ -265,25 +265,12 @@ def order_ideals(P):
 
 def ideal_lattice(P):
     """The distributive lattice of order ideals of P (meet/join = intersection/union)."""
-    from .lattice import FinLattice
+    from .lattice import FinLattice, joins_are_unions
 
     masks = sorted(iter_ideal_masks(P), key=lambda m: (bin(m).count("1"), m))
-    index = {m: i for i, m in enumerate(masks)}
-    k = len(masks)
-    up = []
-    for m in masks:
-        u = 0
-        for m2, i2 in index.items():
-            if m & ~m2 == 0:
-                u |= 1 << i2
-        up.append(u)
     labels = ["{" + ",".join(P.labels[i] for i in bits(m)) + "}" for m in masks]
-    L = FinLattice.from_order(up, labels=labels)
-    # Birkhoff: tables must coincide with subset intersection/union.
-    for a in range(k):
-        for b in range(k):
-            assert masks[L.meet[a, b]] == masks[a] & masks[b]
-            assert masks[L.join[a, b]] == masks[a] | masks[b]
+    L = FinLattice.from_sets(masks, labels)
+    assert joins_are_unions(L, masks)  # Birkhoff
     return L
 
 

@@ -33,7 +33,14 @@ from .algebra import (
     global_dimension,
 )
 from .catalan import dyck_lattice, tamari_lattice
-from .lattice import FinLattice, congruence_lattice, forcing_poset, lattice_isomorphic
+from .lattice import (
+    FinLattice,
+    NotALattice,
+    congruence_lattice,
+    forcing_poset,
+    joins_are_unions,
+    lattice_isomorphic,
+)
 from .linalg import Matrix, Subspace
 from .poset import Poset, bits, interval_poset, iter_ideal_masks, poset_isomorphic
 
@@ -619,23 +626,14 @@ def enumerate_torsion_pairs(
     pairs = [TorsionPair(ctx, m) for m in masks]
 
     n = len(masks)
-    up = []
-    for m in masks:
-        u = 0
-        for m2, i2 in index.items():
-            if m & ~m2 == 0:
-                u |= 1 << i2
-        up.append(u)
     labels = [ctx.mask_label(m) for m in masks]
-    L = FinLattice.from_order(up, labels=labels)
-    # meet = intersection, on every pair
-    for a in range(n):
-        for b in range(a, n):
-            got = masks[a] & masks[b]
-            if got not in index or index[got] != L.meet[a, b]:
-                raise VerificationFailed(
-                    "meet is not the intersection", {"a": masks[a], "b": masks[b]}
-                )
+    try:
+        L = FinLattice.from_sets(masks, labels)
+    except NotALattice as err:
+        if err.kind != "meet":
+            raise
+        a, b = (masks[labels.index(x)] for x in err.pair)
+        raise VerificationFailed("meet is not the intersection", {"a": a, "b": b}) from err
     # join = closure of the union, audited
     audit_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     if len(audit_pairs) > join_audit:
@@ -865,21 +863,9 @@ def omega_lattice_from_digraph(n, edges, labels=None):
     masks = successor_closed_masks(n, edges)
     if labels is None:
         labels = [str(i + 1) for i in range(n)]
-    k = len(masks)
-    index = {m: i for i, m in enumerate(masks)}
-    up = []
-    for m in masks:
-        u = 0
-        for m2, i2 in index.items():
-            if m & ~m2 == 0:
-                u |= 1 << i2
-        up.append(u)
     lab = ["{" + ",".join(labels[v] for v in bits(m)) + "}" for m in masks]
-    L = FinLattice.from_order(up, labels=lab)
-    for a in range(k):
-        for b in range(k):
-            assert masks[L.meet[a, b]] == masks[a] & masks[b]
-            assert masks[L.join[a, b]] == masks[a] | masks[b]
+    L = FinLattice.from_sets(masks, lab)
+    assert joins_are_unions(L, masks)
     return L
 
 
@@ -929,14 +915,9 @@ def verify_dyck_omega_iso(n, via="simples", dim_bound=2):
             for b in omega_idx:
                 if TL.meet[a, b] not in sub or TL.join[a, b] not in sub:
                     raise VerificationFailed("omega pairs not a sublattice", {"n": n})
-        up = []
-        for a in omega_idx:
-            m = 0
-            for b in omega_idx:
-                if TL.leq(a, b):
-                    m |= 1 << sub[b]
-            up.append(m)
-        OL = FinLattice.from_order(up, labels=[TL.labels[i] for i in omega_idx])
+        OL = FinLattice.from_sets(
+            [TL.pairs[i].tors_mask for i in omega_idx], [TL.labels[i] for i in omega_idx]
+        )
         phi2 = lattice_isomorphic(D, OL)
         if phi2 is None:
             raise VerificationFailed("engine route disagrees with Dyck lattice", {"n": n})

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from torscat.cli import main
+from torscat.algebra import path_algebra_An
+from torscat.cli import main, parse_algebra_spec
 from torscat.lattice import FinLattice
 from torscat.poset import interval_poset
 
@@ -194,6 +195,26 @@ def test_nonprime_field_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--field", "4", "catalan", "dyck", "3"])
     assert exc.value.code == 2
+
+
+def test_field_above_uint8_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--field", "257", "verify", "example"])
+    assert exc.value.code == 2
+    assert "at most 255" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["example", "An:3", "json"])
+def test_op_reverses_algebra_arrows(tmp_path, kind):
+    spec = kind
+    if kind == "json":
+        f = tmp_path / "algebra.json"
+        f.write_text(json.dumps(path_algebra_An(3).to_json()))
+        spec = str(f)
+    A = parse_algebra_spec(spec)
+    op = parse_algebra_spec(spec, opposite=True)
+    assert [(a.name, a.tgt, a.src) for a in op.arrows] == [(a.name, a.src, a.tgt) for a in A.arrows]
+    assert any(a.src != a.tgt for a in A.arrows)
 
 
 def test_output_is_deterministic(capsys):

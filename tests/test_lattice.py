@@ -85,6 +85,71 @@ def test_from_order_rejects_non_lattice():
         )
 
 
+def brute_tables(n, leq):
+    """glb/lub tables of an n-element order by searching all bounds (None if missing)."""
+    down = [sum(1 << c for c in range(n) if leq(c, a)) for a in range(n)]
+    up = [sum(1 << c for c in range(n) if leq(a, c)) for a in range(n)]
+
+    def extreme(bounds, beyond):
+        # the bound c with every other bound in beyond[c]
+        return next((c for c in range(n) if bounds >> c & 1 and bounds & ~beyond[c] == 0), None)
+
+    meet = [[extreme(down[a] & down[b], down) for b in range(n)] for a in range(n)]
+    join = [[extreme(up[a] & up[b], up) for b in range(n)] for a in range(n)]
+    return meet, join
+
+
+def moore_families(ground):
+    """Every family of subsets of range(ground) closed under intersection and with a top."""
+    subsets = range(1 << ground)
+    for fam in range(1, 1 << (1 << ground)):
+        members = [m for m in subsets if (fam >> m) & 1]
+        top = 0
+        for m in members:
+            top |= m
+        if (fam >> top) & 1 and all((fam >> (a & b)) & 1 for a in members for b in members):
+            yield members
+
+
+# Moore families on a k-set number 1, 2, 7, 61, 2480 for k = 0..4
+@pytest.mark.parametrize(
+    "ground, families", [(3, 1 + 3 * 2 + 3 * 7 + 61), (4, 1 + 4 * 2 + 6 * 7 + 4 * 61 + 2480)]
+)
+def test_from_sets_exhaustive_small_ground(ground, families):
+    count = 0
+    for members in moore_families(ground):
+        count += 1
+        masks = members[::-1]  # not a linear extension: from_sets must keep this order
+        n = len(masks)
+        L = FinLattice.from_sets(masks, [str(m) for m in masks])
+        leq = lambda a, b: masks[a] & ~masks[b] == 0
+        assert L.up == tuple(sum(1 << b for b in range(n) if leq(a, b)) for a in range(n))
+        meet, join = brute_tables(n, leq)
+        assert L.meet.tolist() == meet and L.join.tolist() == join
+        assert all(masks[meet[a][b]] == masks[a] & masks[b] for a in range(n) for b in range(n))
+    assert count == families
+
+
+def test_from_order_matches_brute_force_tables():
+    for L in corpus():
+        meet, join = brute_tables(L.n, L.leq)
+        assert L.meet.tolist() == meet and L.join.tolist() == join
+
+
+def test_from_sets_rejects_non_lattices():
+    # a lattice as an order ({2} is missing, so the glb of {1,2} and {2,3} is
+    # the empty set), but its meets are not intersections
+    with pytest.raises(NotALattice) as err:
+        FinLattice.from_sets([0b000, 0b011, 0b110, 0b111], "0abt")
+    assert err.value.kind == "meet" and set(err.value.pair) == {"a", "b"}
+    # no top: {1} and {2} have no upper bound
+    with pytest.raises(NotALattice) as err:
+        FinLattice.from_sets([0b00, 0b01, 0b10], "0ab")
+    assert err.value.kind == "join" and set(err.value.pair) == {"a", "b"}
+    with pytest.raises(NotALattice):
+        FinLattice.from_sets([], [])
+
+
 def test_pentagon_structure():
     n5 = pentagon()
     assert not n5.is_distributive()

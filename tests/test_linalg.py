@@ -14,6 +14,12 @@ except ImportError:
     BACKENDS = [_gfpure.rref]
 
 
+def test_matrix_rejects_prime_above_uint8():
+    with pytest.raises(ValueError, match="at most 255"):
+        Matrix([[256, 1]], 257)
+    assert Matrix([[256, 1]], 251).a.tolist() == [[5, 1]]
+
+
 def test_rref_identity():
     M = Matrix.identity(3, 2)
     R, rank = M.rref()

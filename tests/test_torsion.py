@@ -285,6 +285,20 @@ def test_omega_engine_vs_simples(example_ctx, example_lattice, int2_ctx, int2_la
         assert L1.n == len(keep)
 
 
+def assert_irreducibles_are_bricks(TL, bricks):
+    # Demonet-Iyama-Jasso (arXiv:1503.00285): join-irreducible torsion classes
+    # biject with bricks, and so do the meet-irreducible ones
+    hom = TL.context.hom_table()
+    assert sum(1 for i in range(TL.context.k) if hom[i, i] == 1) == bricks
+    assert len(TL.join_irreducibles()) == len(TL.meet_irreducibles()) == bricks
+
+
+def test_irreducible_torsion_classes_are_bricks(example_lattice, int2_lattice):
+    assert_irreducibles_are_bricks(example_lattice, 4)
+    assert_irreducibles_are_bricks(int2_lattice, 6)
+    assert_irreducibles_are_bricks(enumerate_torsion_pairs(path_algebra_An(4)), 10)
+
+
 # -- theorem-level verification -----------------------------------------------------------
 
 
@@ -397,3 +411,4 @@ def test_extended_int3_counts():
     n_omega2 = sum(1 for pr in TL.pairs if is_omega_n(pr, 2))
     assert n_omega == 14
     assert n_omega2 == 239
+    assert_irreducibles_are_bricks(TL, 35)
