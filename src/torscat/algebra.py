@@ -1043,15 +1043,8 @@ class Resolution:
         return True
 
     def is_minimal(self):
-        """Every differential (and the augmentation kernel) lands in the radical."""
-        maps = [self.augmentation] + list(self.diffs)
-        for d in maps[1:]:
-            rad = d.target.radical()
-            for v, m in enumerate(d.mats):
-                for col in m.a.T:
-                    if not rad[v].contains_vector(col):
-                        return False
-        return True
+        """Every differential lands in the radical of its target."""
+        return all(_radical_columns(d) for d in self.diffs)
 
 
 def _radical_columns(d):

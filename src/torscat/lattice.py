@@ -38,7 +38,7 @@ class NotALattice(Exception):
 
 
 class FinLattice:
-    __slots__ = ("n", "up", "meet", "join", "labels", "_down")
+    __slots__ = ("n", "up", "meet", "join", "labels", "_down", "_covers")
 
     def __init__(self, up, meet, join, labels):
         object.__setattr__(self, "n", len(up))
@@ -51,6 +51,7 @@ class FinLattice:
         object.__setattr__(self, "join", join)
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "_down", None)
+        object.__setattr__(self, "_covers", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FinLattice is immutable")
@@ -141,7 +142,9 @@ class FinLattice:
         raise AssertionError("lattice without top")
 
     def covers(self):
-        return tuple(covers_from_up(self.up))
+        if self._covers is None:
+            object.__setattr__(self, "_covers", tuple(covers_from_up(self.up)))
+        return self._covers
 
     def cover_pairs(self):
         cov = self.covers()
@@ -168,27 +171,23 @@ class FinLattice:
     # -- structural predicates ----------------------------------------------
 
     def is_distributive(self):
-        M, J = self.meet, self.join
-        for a in range(self.n):
-            lhs = M[a][J]
-            ma = M[a]
-            rhs = J[ma[:, None], ma[None, :]]
-            if not np.array_equal(lhs, rhs):
-                return False
-        return True
+        """Every join-irreducible j is join-prime: {x : not j <= x} has a greatest element."""
+        full, dn = (1 << self.n) - 1, self.down()
+        return all(_has_extreme(full & ~self.up[j], dn) for j, _ in self.join_irreducibles())
 
     def is_semidistributive(self):
-        M, J = self.meet, self.join
-        for a in range(self.n):
-            ja = J[a]
-            eq = ja[:, None] == ja[None, :]
-            if not (~eq | (ja[M] == ja[:, None])).all():
-                return False
-            ma = M[a]
-            eq = ma[:, None] == ma[None, :]
-            if not (~eq | (ma[J] == ma[:, None])).all():
-                return False
-        return True
+        """Meet- and join-semidistributive, decided through the irreducibles.
+
+        The lattice is meet-semidistributive iff, for every join-irreducible
+        j with lower cover j_*, the set {x : j_* <= x, not j <= x} has a
+        greatest element kappa(j) (Freese-Jezek-Nation, Free Lattices,
+        ch. 2); join-semidistributivity is the dual statement for the
+        meet-irreducibles.
+        """
+        up, dn = self.up, self.down()
+        return all(
+            _has_extreme(up[low] & ~up[j], dn) for j, low in self.join_irreducibles()
+        ) and all(_has_extreme(dn[upp] & ~dn[m], up) for m, upp in self.meet_irreducibles())
 
     def join_irreducibles(self):
         """Elements with exactly one lower cover, as (element, its cover)."""
@@ -230,6 +229,15 @@ class FinLattice:
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _has_extreme(S, beyond):
+    """Whether the set S (a bitmask) has a member x with S inside beyond[x].
+
+    With down-sets for ``beyond`` that is a greatest element of S, with
+    up-sets a least one.
+    """
+    return any(S & ~beyond[x] == 0 for x in bits(S))
 
 
 def joins_are_unions(L, masks):

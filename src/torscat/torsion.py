@@ -120,28 +120,16 @@ class ModuleContext:
     def names(self):
         if "names" not in self._t:
             A = self.algebra
-            names = []
-            for m in self.indecs:
-                name = None
-                for v in range(A.n_vertices):
-                    if m.dims == A.simple(v).dims and modules_isomorphic(m, A.simple(v)):
-                        name = f"S{A.vlabels[v]}"
-                        break
-                if name is None:
+            kinds = (("S", A.simple), ("P", A.projective), ("I", A.injective))
+
+            def name_of(m):
+                for prefix, module in kinds:
                     for v in range(A.n_vertices):
-                        P = A.projective(v)
-                        if m.dims == P.dims and modules_isomorphic(m, P):
-                            name = f"P{A.vlabels[v]}"
-                            break
-                if name is None:
-                    for v in range(A.n_vertices):
-                        I = A.injective(v)
-                        if m.dims == I.dims and modules_isomorphic(m, I):
-                            name = f"I{A.vlabels[v]}"
-                            break
-                if name is None:
-                    name = "M" + "".join(str(d) for d in m.dims)
-                names.append(name)
+                        if m.dims == module(v).dims and modules_isomorphic(m, module(v)):
+                            return f"{prefix}{A.vlabels[v]}"
+                return "M" + "".join(str(d) for d in m.dims)
+
+            names = [name_of(m) for m in self.indecs]
             # disambiguate duplicates deterministically
             seen = {}
             out = []

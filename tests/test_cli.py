@@ -204,6 +204,12 @@ def test_field_above_uint8_rejected(capsys):
     assert "at most 255" in capsys.readouterr().err
 
 
+def test_search_cap_is_a_limit_not_a_parse_error(capsys):
+    code, _, err = run(capsys, "--field", "251", "verify", "example")
+    assert code == 3
+    assert "limit exceeded" in err and "4096" in err
+
+
 @pytest.mark.parametrize("kind", ["example", "An:3", "json"])
 def test_op_reverses_algebra_arrows(tmp_path, kind):
     spec = kind

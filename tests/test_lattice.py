@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from torscat.catalan import tamari_lattice
+from torscat.catalan import dyck_lattice, tamari_lattice, typeA_torsion_lattice
+from torscat.cli import main
 from torscat.lattice import (
     Congruence,
     FinLattice,
@@ -148,6 +150,71 @@ def test_from_sets_rejects_non_lattices():
     assert err.value.kind == "join" and set(err.value.pair) == {"a", "b"}
     with pytest.raises(NotALattice):
         FinLattice.from_sets([], [])
+
+
+def sweep_is_distributive(L):
+    """Oracle: a ^ (b v c) == (a ^ b) v (a ^ c) over every triple of the tables."""
+    M, J = L.meet, L.join
+    for a in range(L.n):
+        lhs = M[a][J]
+        ma = M[a]
+        rhs = J[ma[:, None], ma[None, :]]
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
+def sweep_is_semidistributive(L):
+    """Oracle: a v b == a v c implies a v (b ^ c) == a v b, and dually, over every triple."""
+    M, J = L.meet, L.join
+    for a in range(L.n):
+        ja = J[a]
+        eq = ja[:, None] == ja[None, :]
+        if not (~eq | (ja[M] == ja[:, None])).all():
+            return False
+        ma = M[a]
+        eq = ma[:, None] == ma[None, :]
+        if not (~eq | (ma[J] == ma[:, None])).all():
+            return False
+    return True
+
+
+def assert_predicates_match_sweeps(L):
+    assert L.is_distributive() == sweep_is_distributive(L)
+    assert L.is_semidistributive() == sweep_is_semidistributive(L)
+
+
+@pytest.mark.parametrize("ground, distributive, semidistributive", [(3, 76, 82), (4, 861, 1257)])
+def test_predicates_match_sweeps_on_moore_families(ground, distributive, semidistributive):
+    counts = [0, 0]
+    for members in moore_families(ground):
+        L = FinLattice.from_sets(members[::-1], [str(m) for m in members[::-1]])
+        d, sd = L.is_distributive(), L.is_semidistributive()
+        assert (d, sd) == (sweep_is_distributive(L), sweep_is_semidistributive(L)), members
+        counts[0] += d
+        counts[1] += sd
+    assert counts == [distributive, semidistributive]
+
+
+def test_predicates_match_sweeps_on_corpus():
+    for L in corpus():
+        assert_predicates_match_sweeps(L)
+        assert_predicates_match_sweeps(L.opposite())
+
+
+@pytest.mark.parametrize("build", [dyck_lattice, tamari_lattice, typeA_torsion_lattice])
+def test_predicates_match_sweeps_on_catalan_lattices(build):
+    for n in range(1, 7):
+        assert_predicates_match_sweeps(build(n))
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("kind, distributive", [("dyck", True), ("tamari", False)])
+def test_catalan_predicates_at_n8(capsys, kind, distributive):
+    assert main(["--json", "catalan", kind, "8"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["size"] == 1430
+    assert rep["distributive"] is distributive and rep["semidistributive"] is True
 
 
 def test_pentagon_structure():
