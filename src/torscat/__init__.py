@@ -36,6 +36,7 @@ from .algebra import (
     AlgebraError,
     AtLeast,
     EndTooLarge,
+    LimitExceeded,
     Module,
     ModuleMap,
     ZeroModule,

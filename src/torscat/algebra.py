@@ -28,6 +28,7 @@ from .poset import Poset, bits
 __all__ = [
     "AlgebraError",
     "ZeroModule",
+    "LimitExceeded",
     "EndTooLarge",
     "AtLeast",
     "Arrow",
@@ -62,7 +63,11 @@ class ZeroModule(AlgebraError):
     pass
 
 
-class EndTooLarge(AlgebraError):
+class LimitExceeded(AlgebraError):
+    """A search or table cap was hit; the input itself is well formed."""
+
+
+class EndTooLarge(LimitExceeded):
     pass
 
 
@@ -749,7 +754,7 @@ class Module:
                 new = tuple(a + b for a, b in zip(cur, cyc))
                 if new not in found:
                     if len(found) >= cap:
-                        raise AlgebraError("submodule lattice too large")
+                        raise LimitExceeded(f"submodule lattice exceeds the cap of {cap} submodules")
                     found.add(new)
                     frontier.append(new)
         return sorted(
@@ -1377,6 +1382,9 @@ def _encode(mat, p):
     return enc
 
 
+ORBIT_TABLE_CAP = 4_000_000  # entries of one int32 action table, 16 MB
+
+
 class _OrbitTables:
     """Cached GL lists and action tables g_v * C * g_u^{-1} per (d_v, d_u)."""
 
@@ -1397,8 +1405,11 @@ class _OrbitTables:
             glu, inv_u, matsu = self.gl_of(du)
             cands = _all_mats(dv, du, self.p)
             size = len(glv) * len(cands) * len(glu)
-            if size > 4_000_000:
-                raise AlgebraError("orbit tables too large for this field/dimension bound")
+            if size > ORBIT_TABLE_CAP:
+                raise LimitExceeded(
+                    f"orbit table of {size} entries exceeds the cap of {ORBIT_TABLE_CAP}; "
+                    "lower the dimension bound or the field size"
+                )
             table = np.zeros((len(glv), len(cands), len(glu)), dtype=np.int32)
             for gi, genc in enumerate(glv):
                 gv = matsv[genc].astype(np.int64)
@@ -1486,8 +1497,8 @@ def _indecs_for_dimvec(A, dvec, tables, group_cap):
     for s in gl_sizes:
         total *= s
     if total > group_cap:
-        raise AlgebraError(
-            f"base-change group of size {total} exceeds the search cap; "
+        raise LimitExceeded(
+            f"base-change group of size {total} exceeds the search cap of {group_cap}; "
             "lower the dimension bound or the field size"
         )
     grid = np.indices(gl_sizes).reshape(nv, -1).T.astype(np.int32)  # (|G|, nv)

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .algebra import Algebra, AlgebraError, EndTooLarge, incidence_algebra, path_algebra_An, two_cycle_algebra
+from .algebra import Algebra, AlgebraError, LimitExceeded, incidence_algebra, path_algebra_An, two_cycle_algebra
 from .catalan import dyck_lattice, tamari_lattice, typeA_torsion_lattice
 from .lattice import FinLattice, is_congruence_uniform, lattice_isomorphic
 from .linalg import MAX_PRIME
@@ -342,7 +342,7 @@ def main(argv=None):
     except FileNotFoundError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except EndTooLarge as err:
+    except LimitExceeded as err:
         print(f"limit exceeded: {err}", file=sys.stderr)
         return EXIT_BUDGET
     except (json.JSONDecodeError, KeyError, ValueError, AlgebraError) as err:

@@ -394,31 +394,21 @@ class ModuleContext:
     # -- closures -----------------------------------------------------------------
 
     def torsion_closure_mask(self, mask):
-        cur = mask
-        while True:
-            new = cur
-            for j in range(self.k):
-                if (new >> j) & 1:
-                    continue
-                if self.gen_test(j, new):
-                    new |= 1 << j
-                    continue
-                for mu, mq in self.subquot_pairs(j):
-                    if mu & ~new == 0 and mq & ~new == 0:
-                        new |= 1 << j
-                        break
-            if new == cur:
-                return cur
-            cur = new
+        return self._closure_mask(mask, self.gen_test)
 
     def free_closure_mask(self, mask):
+        return self._closure_mask(mask, self.cogen_test)
+
+    def _closure_mask(self, mask, test):
+        """Grow ``mask`` until no M_j outside it passes ``test`` (generated
+        or cogenerated by the mask) or is an extension of two of its members."""
         cur = mask
         while True:
             new = cur
             for j in range(self.k):
                 if (new >> j) & 1:
                     continue
-                if self.cogen_test(j, new):
+                if test(j, new):
                     new |= 1 << j
                     continue
                 for mu, mq in self.subquot_pairs(j):
@@ -571,6 +561,16 @@ class TorsionLattice(FinLattice):
         return {pr.tors_mask: i for i, pr in enumerate(self.pairs)}
 
 
+def _unrank_pairs(ranks, n):
+    """The pairs (a, b), a < b < n, at ``ranks`` in the row-major order of
+    ``itertools.combinations(range(n), 2)``, as two int lists."""
+    row = np.arange(n)
+    starts = row * (2 * n - row - 1) // 2  # rank of (a, a + 1)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    a = np.searchsorted(starts, ranks, side="right") - 1
+    return a.tolist(), (ranks - starts[a] + a + 1).tolist()
+
+
 def enumerate_torsion_pairs(
     algebra_or_context,
     dim_bound=2,
@@ -623,11 +623,12 @@ def enumerate_torsion_pairs(
         a, b = (masks[labels.index(x)] for x in err.pair)
         raise VerificationFailed("meet is not the intersection", {"a": a, "b": b}) from err
     # join = closure of the union, audited
-    audit_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    if len(audit_pairs) > join_audit:
+    n_pairs = n * (n - 1) // 2
+    if n_pairs > join_audit:
         rng = np.random.default_rng(0)
-        sel = rng.choice(len(audit_pairs), size=join_audit, replace=False)
-        audit_pairs = [audit_pairs[int(s)] for s in sel]
+        audit_pairs = zip(*_unrank_pairs(rng.choice(n_pairs, size=join_audit, replace=False), n))
+    else:
+        audit_pairs = itertools.combinations(range(n), 2)
     for a, b in audit_pairs:
         j = ctx.torsion_closure_mask(masks[a] | masks[b])
         if index.get(j) != L.join[a, b]:

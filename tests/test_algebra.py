@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from torscat import algebra
 from torscat.algebra import (
     Algebra,
     AlgebraError,
     AtLeast,
+    LimitExceeded,
     Module,
     ZeroModule,
     cosyzygy,
@@ -23,6 +25,7 @@ from torscat.algebra import (
     projective_cover,
     syzygy,
     two_cycle_algebra,
+    _OrbitTables,
 )
 from torscat.linalg import Matrix
 from torscat.poset import Poset, interval_poset
@@ -343,3 +346,25 @@ def test_search_caps_raise(A, mods):
     big = mods["S1"].direct_sum(mods["S1"])
     with pytest.raises(EndTooLarge):
         modules_isomorphic(big, big, search_cap=2)
+
+
+def test_submodule_cap_raises_limit(mods):
+    big = mods["S1"].direct_sum(mods["S1"])  # 0, three lines, the whole
+    assert len(big.all_submodules(cap=5)) == 5
+    with pytest.raises(LimitExceeded, match="cap of 4 submodules"):
+        big.all_submodules(cap=4)
+
+
+def test_orbit_table_cap_raises_limit(monkeypatch):
+    monkeypatch.setattr(algebra, "ORBIT_TABLE_CAP", 576)  # |GL_2(F_2)| * 2^4 * |GL_2(F_2)|
+    assert _OrbitTables(2).act_of(2, 2).shape == (6, 16, 6)
+    monkeypatch.setattr(algebra, "ORBIT_TABLE_CAP", 575)
+    with pytest.raises(LimitExceeded, match="576 entries exceeds the cap of 575"):
+        _OrbitTables(2).act_of(2, 2)
+
+
+def test_group_cap_raises_limit():
+    # dimension vector (2, 2) has the base-change group GL_2(F_2)^2 of size 36
+    assert len(indecomposables(path_algebra_An(2), 2, group_cap=36)) == 3
+    with pytest.raises(LimitExceeded, match="size 36 exceeds the search cap of 35"):
+        indecomposables(path_algebra_An(2), 2, group_cap=35)

@@ -210,6 +210,13 @@ def test_search_cap_is_a_limit_not_a_parse_error(capsys):
     assert "limit exceeded" in err and "4096" in err
 
 
+def test_orbit_table_cap_is_a_limit_not_a_parse_error(capsys):
+    # dimension vector (2, 2) over F_5 needs a 480 x 625 x 480 orbit table
+    code, _, err = run(capsys, "--field", "5", "tors", "example")
+    assert code == 3
+    assert err.startswith("limit exceeded:") and "cap of 4000000" in err
+
+
 @pytest.mark.parametrize("kind", ["example", "An:3", "json"])
 def test_op_reverses_algebra_arrows(tmp_path, kind):
     spec = kind

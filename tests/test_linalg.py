@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torscat import _gfpure
-from torscat._kernels import backend_name
+from torscat import backend_name
+from torscat._kernels import rref
 from torscat.linalg import Matrix, NoSolution, Subspace, hstack, solve, vstack
-
-try:
-    from torscat import _gfcore
-
-    BACKENDS = [_gfpure.rref, _gfcore.rref]
-except ImportError:
-    BACKENDS = [_gfpure.rref]
 
 
 def test_matrix_rejects_prime_above_uint8():
@@ -74,12 +67,9 @@ def test_stack_helpers():
     assert hstack([a.T, b.T]) == Matrix.identity(2, 2)
 
 
-small_p = st.sampled_from([2, 3, 5])
-
-
 @st.composite
-def random_matrix(draw, max_dim=6):
-    p = draw(small_p)
+def random_matrix(draw, max_dim=6, primes=(2, 3, 5)):
+    p = draw(st.sampled_from(primes))
     r = draw(st.integers(0, max_dim))
     c = draw(st.integers(0, max_dim))
     data = draw(
@@ -124,18 +114,58 @@ def test_subspace_canonical_form(M):
         assert Subspace.from_rows(mixed, M.cols, M.p) == sp
 
 
-@given(random_matrix())
-@settings(max_examples=80, deadline=None)
-def test_backend_parity(M):
-    results = [rref(M.a, M.p) for rref in BACKENDS]
-    base_arr, base_piv = results[0]
-    for arr, piv in results[1:]:
-        assert piv == base_piv
-        assert np.array_equal(np.asarray(arr), np.asarray(base_arr))
+def reference_rref(rows, p):
+    """Textbook elimination on lists of Python ints: echelon form top-down,
+    then back substitution and scaling of each pivot row."""
+    a = [[x % p for x in r] for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        src = next((i for i in range(r, m) if a[i][c]), None)
+        if src is None:
+            continue
+        a[r], a[src] = a[src], a[r]
+        for i in range(r + 1, m):
+            f = a[i][c] * pow(a[r][c], -1, p)
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    for k in reversed(range(len(pivots))):
+        c = pivots[k]
+        inv = pow(a[k][c], -1, p)
+        a[k] = [x * inv % p for x in a[k]]
+        for i in range(k):
+            f = a[i][c]
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
+    return a, tuple(pivots)
+
+
+def assert_reduced_echelon(a, pivots, p):
+    rank = len(pivots)
+    assert ((a >= 0) & (a < p)).all()
+    assert not a[rank:].any()
+    assert list(pivots) == sorted(set(pivots))
+    for k, c in enumerate(pivots):
+        assert not a[k, :c].any()
+        assert a[k, c] == 1
+        assert np.count_nonzero(a[:, c]) == 1
+
+
+@given(random_matrix(max_dim=8, primes=(2, 3, 5, 7)))
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_reference_elimination(M):
+    out, pivots = rref(M.a, M.p)
+    ref, ref_pivots = reference_rref(M.a.tolist(), M.p)
+    assert out.dtype == np.uint8 and out.shape == M.a.shape
+    assert pivots == ref_pivots
+    assert out.tolist() == ref
+    assert_reduced_echelon(out, pivots, M.p)
 
 
 def test_backend_selected():
-    assert backend_name() in ("compiled", "pure")
+    assert backend_name() == "pure"
 
 
 def test_subspace_sum_intersection():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from torscat.torsion import (
     Subcat,
     TorsionPair,
     VerificationFailed,
+    _unrank_pairs,
     enumerate_torsion_pairs,
     extension_middles,
     free_closure,
@@ -119,6 +122,17 @@ def test_enumeration_matches_all_subset_oracle(example_ctx, int2_ctx, example_la
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         enumerate_torsion_pairs(incidence_algebra(interval_poset(2)), class_cap=5)
+
+
+def test_unrank_pairs_is_combinations_order():
+    for n in range(62):
+        a, b = _unrank_pairs(np.arange(n * (n - 1) // 2), n)
+        assert list(zip(a, b)) == list(itertools.combinations(range(n), 2))
+
+
+def test_sampled_join_audit(int2_ctx, int2_lattice):
+    TL = enumerate_torsion_pairs(int2_ctx, join_audit=5)
+    assert TL.labels == int2_lattice.labels and np.array_equal(TL.join, int2_lattice.join)
 
 
 def test_closure_quotient_audit_triple_sums(example_ctx, example_lattice):
