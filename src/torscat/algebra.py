@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -1356,21 +1357,18 @@ def _all_mats(rows, cols, p):
     return out
 
 
+def _gl_order(d, p):
+    """|GL_d(F_p)| = prod_{i<d} (p^d - p^i), known before any table is built."""
+    return math.prod(p**d - p**i for i in range(d))
+
+
 def _gl_data(d, p):
     """(indices of invertible matrices, inverse-index array) for d x d over F_p."""
     mats = _all_mats(d, d, p)
     gl = [enc for enc, m in enumerate(mats) if Matrix(m, p).rank() == d]
     pos = {enc: i for i, enc in enumerate(gl)}
-    inv_idx = []
-    for enc in gl:
-        m = mats[enc]
-        inv = None
-        for enc2 in gl:
-            prod = (m.astype(np.int64) @ mats[enc2]) % p
-            if np.array_equal(prod, np.eye(d, dtype=np.int64) % p):
-                inv = pos[enc2]
-                break
-        inv_idx.append(inv)
+    eye = Matrix.identity(d, p)
+    inv_idx = [pos[_encode(solve(Matrix(mats[enc], p), eye).a, p)] for enc in gl]
     return gl, np.array(inv_idx, dtype=np.int32), mats
 
 
@@ -1402,7 +1400,7 @@ class _OrbitTables:
         key = (dv, du)
         if key not in self.act:
             glv, _, matsv = self.gl_of(dv)
-            glu, inv_u, matsu = self.gl_of(du)
+            glu, _, matsu = self.gl_of(du)
             cands = _all_mats(dv, du, self.p)
             size = len(glv) * len(cands) * len(glu)
             if size > ORBIT_TABLE_CAP:
@@ -1410,16 +1408,16 @@ class _OrbitTables:
                     f"orbit table of {size} entries exceeds the cap of {ORBIT_TABLE_CAP}; "
                     "lower the dimension bound or the field size"
                 )
+            # index hi plays the role of g_u^{-1}: tables are consulted with
+            # the inverse index so the action is g_v C g_u^{-1}
+            C = np.array(cands, dtype=np.int64)
+            H = np.array([matsu[henc] for henc in glu], dtype=np.int64)
+            digits = self.p ** np.arange(dv * du, dtype=np.int64)  # the base-p code of _encode
             table = np.zeros((len(glv), len(cands), len(glu)), dtype=np.int32)
             for gi, genc in enumerate(glv):
-                gv = matsv[genc].astype(np.int64)
-                for ci, c in enumerate(cands):
-                    gc = (gv @ c) % self.p
-                    for hi, henc in enumerate(glu):
-                        # index hi plays the role of g_u^{-1}: tables are consulted
-                        # with the inverse index so the action is g_v C g_u^{-1}
-                        prod = (gc @ matsu[henc]) % self.p
-                        table[gi, ci, hi] = _encode(prod, self.p)
+                gc = (matsv[genc].astype(np.int64) @ C) % self.p
+                prod = (gc[:, None] @ H[None]) % self.p
+                table[gi] = prod.reshape(len(cands), len(glu), -1) @ digits
             self.act[key] = table
         return self.act[key]
 
@@ -1487,15 +1485,8 @@ def _indecs_for_dimvec(A, dvec, tables, group_cap):
         when = max((place_of[ai] + 1 for ai in live), default=0)
         rel_ready[when].append(rel)
 
-    gl_sizes = []
-    for v in range(nv):
-        if dvec[v] == 0:
-            gl_sizes.append(1)
-        else:
-            gl_sizes.append(len(tables.gl_of(dvec[v])[0]))
-    total = 1
-    for s in gl_sizes:
-        total *= s
+    gl_sizes = [_gl_order(d, p) for d in dvec]
+    total = math.prod(gl_sizes)
     if total > group_cap:
         raise LimitExceeded(
             f"base-change group of size {total} exceeds the search cap of {group_cap}; "

@@ -93,7 +93,7 @@ def cmd_catalan(args):
         extra = {}
     elif args.kind == "tamari":
         L = tamari_lattice(n)
-        extra = {"congruence_uniform": bool(is_congruence_uniform(L))} if n <= 5 else {}
+        extra = {"congruence_uniform": bool(is_congruence_uniform(L))}
     else:
         L = typeA_torsion_lattice(n)
         T = tamari_lattice(n + 1)

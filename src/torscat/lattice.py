@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .poset import Poset, bits, covers_from_up, poset_isos
+from .poset import Poset, bits, covers_from_up, poset_isos, transitive_closure
 
 __all__ = [
     "NotALattice",
@@ -329,13 +329,8 @@ class _UnionFind:
         return True
 
     def to_congruence(self):
-        n = len(self.parent)
-        root_min = {}
-        for i in range(n):
-            r = self.find(i)
-            if r not in root_min or i < root_min[r]:
-                root_min[r] = i
-        return Congruence([root_min[self.find(i)] for i in range(n)])
+        first = {}
+        return Congruence([first.setdefault(self.find(i), i) for i in range(len(self.parent))])
 
 
 def principal_congruence(L, a, b):
@@ -380,22 +375,51 @@ def _congruence_sort_key(c):
     return (-c.num_blocks(), c.block)
 
 
+def _dependency(L):
+    """The D* order on the join-irreducibles of L, as bitmask rows.
+
+    j D k iff some x has j <= k v x but not j <= k_* v x (k_* the lower
+    cover of k), and con(j_*, j) <= con(k_*, k) iff j D* k, the
+    reflexive-transitive closure (Freese-Jezek-Nation, Free Lattices,
+    Lemma 2.36 and Thm 2.35).  With t indexing L.join_irreducibles(),
+    returns (below, sig): below[s] holds the t with j_t D* j_s, and sig[x]
+    the t with j_t <= x.  O(|J| n) operations on |J|-bit masks.
+    """
+    ji = L.join_irreducibles()
+    sig = [0] * L.n
+    for t, (j, _) in enumerate(ji):
+        for x in bits(L.up[j]):
+            sig[x] |= 1 << t
+    dep = [0] * len(ji)
+    for s, (k, low) in enumerate(ji):
+        for above, above_low in zip(L.join[k].tolist(), L.join[low].tolist()):
+            dep[s] |= sig[above] & ~sig[above_low]
+    return transitive_closure(dep), sig
+
+
+def _collapse(sig, S):
+    """The congruence collapsing exactly the join-irreducibles in S onto their lower covers.
+
+    x and y share a block iff the same join-irreducibles outside S lie below both.
+    """
+    first = {}
+    return Congruence([first.setdefault(m & ~S, x) for x, m in enumerate(sig)])
+
+
 def all_congruences(L):
-    """Every congruence of L, via join-closure of cover principal congruences."""
-    principals = set()
-    for a, b in L.cover_pairs():
-        principals.add(principal_congruence(L, a, b))
-    discrete = Congruence(range(L.n))
-    found = {discrete} | principals
-    frontier = list(found)
+    """Every congruence of L: one per D*-down-set of join-irreducibles (FJN Thm 2.35)."""
+    below, sig = _dependency(L)
+    rows = set(below)
+    found = {0}
+    frontier = [0]
     while frontier:
-        theta = frontier.pop()
-        for g in principals:
-            j = congruence_join(theta, g)
-            if j not in found:
-                found.add(j)
-                frontier.append(j)
-    return sorted(found, key=_congruence_sort_key)
+        S = frontier.pop()
+        for r in rows:
+            T = S | r
+            if T not in found:
+                found.add(T)
+                frontier.append(T)
+    return sorted((_collapse(sig, S) for S in found), key=_congruence_sort_key)
 
 
 def congruence_lattice(L):
@@ -406,17 +430,15 @@ def congruence_lattice(L):
     one at the top.  This dual presentation is the one under which the
     congruence lattice of the Tamari lattice matches the dominance order
     on Dyck paths; the refinement-ordered lattice is its opposite, the
-    ideal lattice of the forcing poset.
+    ideal lattice of the forcing poset.  It is built as the sets of
+    join-irreducibles j each congruence keeps apart from j_*, ordered by
+    inclusion.
     """
     congs = all_congruences(L)
-    k = len(congs)
-    up = [0] * k
-    for i, ci in enumerate(congs):
-        for j, cj in enumerate(congs):
-            if cj.refines(ci):
-                up[i] |= 1 << j
+    ji = L.join_irreducibles()
+    apart = [sum(1 << t for t, (j, low) in enumerate(ji) if not c.collapses(j, low)) for c in congs]
     labels = ["|".join(",".join(map(str, blk)) for blk in c.blocks()) for c in congs]
-    return FinLattice.from_order(up, labels=labels)
+    return FinLattice.from_sets(apart, labels)
 
 
 def _set_partitions(n):
@@ -471,57 +493,32 @@ def brute_force_congruences(L):
     return sorted(set(out), key=_congruence_sort_key)
 
 
-def _join_irreducible_principals(L):
-    """Join-irreducible congruences with a generating cover for labelling."""
-    gen = {}
-    for a, b in L.cover_pairs():
-        c = principal_congruence(L, a, b)
-        gen.setdefault(c, (a, b))
-    cands = sorted(gen, key=_congruence_sort_key)
-    discrete = Congruence(range(L.n))
-    ji = []
-    for theta in cands:
-        acc = discrete
-        for sigma in cands:
-            if sigma != theta and sigma.refines(theta):
-                acc = congruence_join(acc, sigma)
-        if acc != theta:
-            ji.append(theta)
-    return ji, gen
-
-
 def forcing_poset(L):
     """Join-irreducible congruences of L ordered by refinement.
 
-    Con(L) is the lattice of order ideals of this poset (Birkhoff); for
-    congruence-uniform lattices the elements biject with both the
-    join-irreducible elements and the cover classes of L.
+    They are the con(j_*, j), one per D*-class, each labelled by the first
+    cover a < b generating it; con(a, b) collapses the D*-down-closure of
+    the join-irreducibles below b and not below a.  Con(L) is the lattice
+    of order ideals of this poset (Birkhoff); for congruence-uniform
+    lattices the elements biject with both the join-irreducible elements
+    and the cover classes of L.
     """
-    ji, gen = _join_irreducible_principals(L)
-    up = [0] * len(ji)
-    for i, ci in enumerate(ji):
-        for j, cj in enumerate(ji):
-            if ci.refines(cj):
-                up[i] |= 1 << j
-    labels = ["cg({},{})".format(*gen[c]) for c in ji]
+    below, sig = _dependency(L)
+    gen = {}
+    for a, b in L.cover_pairs():
+        S = 0
+        for t in bits(sig[b] & ~sig[a]):
+            S |= below[t]
+        gen.setdefault(S, (a, b))
+    ji = sorted(set(below), key=lambda S: _congruence_sort_key(_collapse(sig, S)))
+    up = [sum(1 << j for j, T in enumerate(ji) if S & ~T == 0) for S in ji]
+    labels = ["cg({},{})".format(*gen[S]) for S in ji]
     return Poset(labels, up)
 
 
 def is_congruence_uniform(L):
-    """Both irreducible-element maps j -> cg(j*, j) biject onto JI congruences."""
-    ji_congs, _ = _join_irreducible_principals(L)
-    ji_set = set(ji_congs)
-
-    for pairs in (
-        [(low, x) for x, low in L.join_irreducibles()],
-        [(x, upp) for x, upp in L.meet_irreducibles()],
-    ):
-        images = [principal_congruence(L, a, b) for a, b in pairs]
-        if len(set(images)) != len(images):
-            return False
-        if set(images) != ji_set:
-            return False
-    return True
+    """D is acyclic on J(L) and dually on M(L) (Day): no two rows of D* agree."""
+    return all(len(set(below)) == len(below) for below, _ in map(_dependency, (L, L.opposite())))
 
 
 def lattice_isomorphic(L, M):

@@ -368,3 +368,33 @@ def test_group_cap_raises_limit():
     assert len(indecomposables(path_algebra_An(2), 2, group_cap=36)) == 3
     with pytest.raises(LimitExceeded, match="size 36 exceeds the search cap of 35"):
         indecomposables(path_algebra_An(2), 2, group_cap=35)
+
+
+def test_group_cap_is_checked_before_any_table():
+    # |GL_2(F_3)|^2 = 2304 comes from the closed form; no GL table is built
+    tables = _OrbitTables(3)
+    with pytest.raises(LimitExceeded, match="size 2304 exceeds the search cap of 100"):
+        algebra._indecs_for_dimvec(path_algebra_An(2, p=3), (2, 2), tables, 100)
+    assert tables.gl == {} and tables.act == {}
+
+
+@pytest.mark.parametrize("d, p", [(1, 2), (2, 2), (3, 2), (2, 3), (1, 5), (2, 5)])
+def test_gl_tables(d, p):
+    gl, inv, mats = algebra._gl_data(d, p)
+    assert len(gl) == algebra._gl_order(d, p)
+    assert all(Matrix(mats[enc], p).rank() == d for enc in gl)
+    for i, enc in enumerate(gl):
+        assert np.array_equal(mats[enc].astype(np.int64) @ mats[gl[inv[i]]] % p, np.eye(d))
+
+
+@pytest.mark.parametrize("p, dv, du", [(2, 2, 3), (2, 3, 1), (3, 2, 1), (3, 1, 2), (5, 1, 1)])
+def test_action_table_matches_loop(p, dv, du):
+    tables = _OrbitTables(p)
+    glv, _, matsv = tables.gl_of(dv)
+    glu, _, matsu = tables.gl_of(du)
+    act = tables.act_of(dv, du)
+    for gi, genc in enumerate(glv):
+        for ci, c in enumerate(algebra._all_mats(dv, du, p)):
+            for hi, henc in enumerate(glu):
+                prod = (matsv[genc].astype(np.int64) @ c @ matsu[henc]) % p
+                assert act[gi, ci, hi] == algebra._encode(prod, p)

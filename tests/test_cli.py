@@ -30,6 +30,20 @@ def test_catalan_typeA_with_iso(capsys):
     assert "isomorphic to tamari next: yes" in out
 
 
+def test_catalan_tamari_congruence_uniform_beyond_5(capsys):
+    code, out, _ = run(capsys, "catalan", "tamari", "6")
+    assert code == 0 and "size 132" in out
+    assert "congruence uniform: yes" in out
+
+
+def test_base_change_cap_stops_field_7(capsys):
+    # GL_2(F_7)^2 has 4,064,256 elements; the cap stops the search before its
+    # orbit tables are built
+    code, _, err = run(capsys, "--field", "7", "--dim-bound", "3", "tors", "example")
+    assert code == 3
+    assert "base-change group of size 4064256 exceeds the search cap of 2000000" in err
+
+
 def test_catalan_out_of_bounds(capsys):
     code, _, err = run(capsys, "catalan", "typeA", "9")
     assert code == 2 and "usage error" in err

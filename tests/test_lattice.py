@@ -1,8 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from torscat import torsion
 from torscat.catalan import dyck_lattice, tamari_lattice, typeA_torsion_lattice
 from torscat.cli import main
 from torscat.lattice import (
@@ -19,6 +21,10 @@ from torscat.lattice import (
     principal_congruence,
 )
 from torscat.poset import Poset, ideal_lattice, interval_poset, poset_isomorphic
+
+# memoised: the cover-pair oracles below ask for the same principal
+# congruences several times, and several tests build the same lattices
+principal_congruence = functools.cache(principal_congruence)
 
 
 def pentagon():
@@ -215,6 +221,7 @@ def test_catalan_predicates_at_n8(capsys, kind, distributive):
     rep = json.loads(capsys.readouterr().out)
     assert rep["size"] == 1430
     assert rep["distributive"] is distributive and rep["semidistributive"] is True
+    assert rep.get("congruence_uniform") is {"dyck": None, "tamari": True}[kind]
 
 
 def test_pentagon_structure():
@@ -329,6 +336,157 @@ def test_congruence_uniformity():
     assert not is_congruence_uniform(diamond())
     for n in (2, 3, 4, 5):
         assert is_congruence_uniform(tamari_lattice(n))
+
+
+# -- the cover-pair congruence route, kept as the oracle of the D-relation route
+
+
+def sort_key(c):
+    return (-c.num_blocks(), c.block)
+
+
+def cover_pair_all_congruences(L):
+    """Every congruence of L, via join-closure of cover principal congruences."""
+    principals = set()
+    for a, b in L.cover_pairs():
+        principals.add(principal_congruence(L, a, b))
+    discrete = Congruence(range(L.n))
+    found = {discrete} | principals
+    frontier = list(found)
+    while frontier:
+        theta = frontier.pop()
+        for g in principals:
+            j = congruence_join(theta, g)
+            if j not in found:
+                found.add(j)
+                frontier.append(j)
+    return sorted(found, key=sort_key)
+
+
+def cover_pair_congruence_lattice(L):
+    congs = cover_pair_all_congruences(L)
+    k = len(congs)
+    up = [0] * k
+    for i, ci in enumerate(congs):
+        for j, cj in enumerate(congs):
+            if cj.refines(ci):
+                up[i] |= 1 << j
+    labels = ["|".join(",".join(map(str, blk)) for blk in c.blocks()) for c in congs]
+    return FinLattice.from_order(up, labels=labels)
+
+
+def cover_pair_join_irreducible_principals(L):
+    """Join-irreducible congruences with a generating cover for labelling."""
+    gen = {}
+    for a, b in L.cover_pairs():
+        c = principal_congruence(L, a, b)
+        gen.setdefault(c, (a, b))
+    cands = sorted(gen, key=sort_key)
+    discrete = Congruence(range(L.n))
+    ji = []
+    for theta in cands:
+        acc = discrete
+        for sigma in cands:
+            if sigma != theta and sigma.refines(theta):
+                acc = congruence_join(acc, sigma)
+        if acc != theta:
+            ji.append(theta)
+    return ji, gen
+
+
+def cover_pair_forcing_poset(L):
+    ji, gen = cover_pair_join_irreducible_principals(L)
+    up = [0] * len(ji)
+    for i, ci in enumerate(ji):
+        for j, cj in enumerate(ji):
+            if ci.refines(cj):
+                up[i] |= 1 << j
+    labels = ["cg({},{})".format(*gen[c]) for c in ji]
+    return Poset(labels, up)
+
+
+def cover_pair_is_congruence_uniform(L):
+    """Both irreducible-element maps j -> cg(j*, j) biject onto JI congruences."""
+    ji_congs, _ = cover_pair_join_irreducible_principals(L)
+    ji_set = set(ji_congs)
+
+    for pairs in (
+        [(low, x) for x, low in L.join_irreducibles()],
+        [(x, upp) for x, upp in L.meet_irreducibles()],
+    ):
+        images = [principal_congruence(L, a, b) for a, b in pairs]
+        if len(set(images)) != len(images):
+            return False
+        if set(images) != ji_set:
+            return False
+    return True
+
+
+def assert_congruences_match_cover_pairs(L):
+    assert [c.block for c in all_congruences(L)] == [c.block for c in cover_pair_all_congruences(L)]
+    F, G = forcing_poset(L), cover_pair_forcing_poset(L)
+    assert F.up == G.up and F.labels == G.labels
+    assert is_congruence_uniform(L) == cover_pair_is_congruence_uniform(L)
+
+
+# on these small grounds the congruence-uniform lattices are the semidistributive ones
+@pytest.mark.parametrize("ground, uniform", [(3, 82), (4, 1257)])
+def test_congruences_match_cover_pairs_on_moore_families(ground, uniform):
+    count = 0
+    for members in moore_families(ground):
+        L = FinLattice.from_sets(members[::-1], [str(m) for m in members[::-1]])
+        for K in (L, L.opposite()):
+            assert_congruences_match_cover_pairs(K)
+        count += is_congruence_uniform(L)
+    assert count == uniform
+
+
+def test_congruences_match_cover_pairs_on_corpus():
+    for L in corpus():
+        assert_congruences_match_cover_pairs(L)
+        assert_congruences_match_cover_pairs(L.opposite())
+
+
+# Dyck_n has 2^|J| congruences (32,768 at n = 6); typeA_n is Tamari_{n+1}
+@pytest.mark.parametrize("build, ns", [
+    (tamari_lattice, range(1, 7)),
+    (dyck_lattice, range(1, 6)),
+    (typeA_torsion_lattice, range(1, 6)),
+    pytest.param(dyck_lattice, [6], marks=pytest.mark.extended),
+    pytest.param(typeA_torsion_lattice, [6], marks=pytest.mark.extended),
+])
+def test_congruences_match_cover_pairs_on_catalan_lattices(build, ns):
+    for n in ns:
+        assert_congruences_match_cover_pairs(build(n))
+
+
+def test_congruence_lattice_matches_refinement_order():
+    moore = [FinLattice.from_sets(m[::-1], [str(x) for x in m[::-1]]) for m in moore_families(3)]
+    lattices = moore + corpus() + [tamari_lattice(n) for n in range(1, 7)]
+    for L in lattices + [L.opposite() for L in lattices]:
+        C, oracle = congruence_lattice(L), cover_pair_congruence_lattice(L)
+        assert C.up == oracle.up and C.labels == oracle.labels
+
+
+def test_verify_thm2_json_matches_cover_pair_route(capsys, monkeypatch):
+    # iso and forcing_iso depend on the order of the congruences and of the
+    # forcing poset, so this pins both
+    def thm2_json(n):
+        assert main(["--json", "verify", "thm2", "--n", str(n)]) == 0
+        return capsys.readouterr().out
+
+    fast = [thm2_json(n) for n in range(2, 7)]
+    monkeypatch.setattr(torsion, "congruence_lattice", cover_pair_congruence_lattice)
+    monkeypatch.setattr(torsion, "forcing_poset", cover_pair_forcing_poset)
+    assert fast == [thm2_json(n) for n in range(2, 7)]
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("n, congruences", [(7, 429), (8, 1430)])
+def test_verify_thm2_at_scale(capsys, n, congruences):
+    assert main(["--json", "verify", "thm2", "--n", str(n)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "PASS" and rep["con_size"] == rep["dyck_size"] == congruences
 
 
 def test_lattice_isomorphic_basics():
