@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattice import FinLattice, joins_are_unions
+from .lattice import FinLattice, check_joins_are_unions
 from .poset import Ideal, Poset, interval_poset
 
 __all__ = [
@@ -115,7 +115,7 @@ def dyck_lattice(n):
             m |= ((1 << h) - 1) << (i * (n + 1) + 1)
         masks.append(m)
     L = FinLattice.from_sets(masks, paths)
-    assert joins_are_unions(L, masks)  # joins are pointwise maxima
+    check_joins_are_unions(L, masks)  # joins are pointwise maxima
     return L
 
 

@@ -16,8 +16,9 @@ from .poset import Poset, bits, covers_from_up, poset_isos, transitive_closure
 
 __all__ = [
     "NotALattice",
+    "VerificationFailed",
     "FinLattice",
-    "joins_are_unions",
+    "check_joins_are_unions",
     "Congruence",
     "principal_congruence",
     "congruence_join",
@@ -35,6 +36,14 @@ class NotALattice(Exception):
         super().__init__(f"elements {a} and {b} have no {kind}")
         self.pair = (a, b)
         self.kind = kind
+
+
+class VerificationFailed(Exception):
+    """A computed structure failed one of the checks that certify it."""
+
+    def __init__(self, message, data=None):
+        super().__init__(message)
+        self.data = data or {}
 
 
 class FinLattice:
@@ -240,13 +249,14 @@ def _has_extreme(S, beyond):
     return any(S & ~beyond[x] == 0 for x in bits(S))
 
 
-def joins_are_unions(L, masks):
-    """Whether every join in L, built by from_sets(masks, ...), is a union."""
-    return all(
-        masks[j] == ma | mb
-        for a, ma in enumerate(masks)
-        for j, mb in zip(L.join[a].tolist(), masks)
-    )
+def check_joins_are_unions(L, masks):
+    """Raise VerificationFailed unless every join in L, built by
+    from_sets(masks, ...), is the union of its operands.  from_sets fills
+    the join table symmetrically, so the pairs a <= b cover every join."""
+    for a, ma in enumerate(masks):
+        for b, j in enumerate(L.join[a, a:].tolist(), a):
+            if masks[j] != ma | masks[b]:
+                raise VerificationFailed("join is not the union", {"a": L.labels[a], "b": L.labels[b]})
 
 
 # -- congruences -------------------------------------------------------------

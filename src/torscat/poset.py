@@ -265,12 +265,12 @@ def order_ideals(P):
 
 def ideal_lattice(P):
     """The distributive lattice of order ideals of P (meet/join = intersection/union)."""
-    from .lattice import FinLattice, joins_are_unions
+    from .lattice import FinLattice, check_joins_are_unions
 
     masks = sorted(iter_ideal_masks(P), key=lambda m: (bin(m).count("1"), m))
     labels = ["{" + ",".join(P.labels[i] for i in bits(m)) + "}" for m in masks]
     L = FinLattice.from_sets(masks, labels)
-    assert joins_are_unions(L, masks)  # Birkhoff
+    check_joins_are_unions(L, masks)  # Birkhoff
     return L
 
 

@@ -1,5 +1,9 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torscat import algebra
 from torscat.algebra import (
@@ -79,6 +83,74 @@ def test_incidence_algebra_dimensions():
     assert incidence_algebra(Poset.chain(2)).dim == 3
     A3 = incidence_algebra(interval_poset(3))
     assert A3.dim == 15
+
+
+# -- associativity certificate -----------------------------------------------
+
+
+def dense_is_associative(alg):
+    """Oracle: both bracketings of every triple, as two dense d^4 tensors."""
+    p = alg.p
+    mult = alg.mult.astype(np.int64)
+    lhs = np.tensordot(mult, mult, axes=([2], [0])) % p  # (i,j,k,m)
+    rhs = np.tensordot(mult, mult, axes=([2], [1])).transpose(2, 0, 1, 3) % p
+    return np.array_equal(lhs, rhs)
+
+
+def with_mult(alg, mult):
+    return Algebra(alg.p, alg.vlabels, alg.arrows, alg.relations, alg.src, alg.tgt, alg.paths,
+                   alg.blabels, mult, alg.e_idx, alg.arrow_idx)
+
+
+def associativity_rejected(alg):
+    try:
+        alg.validate()
+    except AlgebraError as err:
+        return "not associative" in str(err)
+    return False
+
+
+SMALL_TABLES = {
+    "int:3": lambda p: incidence_algebra(interval_poset(3), p=p),
+    "An:5": lambda p: path_algebra_An(5, p=p),
+    "example": lambda p: two_cycle_algebra(p=p),
+}
+
+
+@functools.cache
+def small_table(name, p):
+    return SMALL_TABLES[name](p)
+
+
+@given(st.sampled_from(sorted(SMALL_TABLES)), st.sampled_from([2, 3]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_validate_matches_dense_oracle_on_one_entry_changes(name, p, data):
+    alg = small_table(name, p)
+    d = alg.dim
+    assert d <= 48 and dense_is_associative(alg)
+    i, j, m = (data.draw(st.integers(0, d - 1)) for _ in range(3))
+    mult = alg.mult.copy()
+    mult[i, j, m] = (int(mult[i, j, m]) + data.draw(st.integers(1, p - 1))) % p
+    bad = with_mult(alg, mult)
+    assert associativity_rejected(bad) == (not dense_is_associative(bad))
+
+
+def test_validate_rejects_one_changed_constant_above_dimension_48():
+    alg = incidence_algebra(interval_poset(6))
+    assert alg.dim > 48
+    alg.validate()
+    # arrows a, b, c in a row: zeroing the constant of b_a b_b = b_ab kills
+    # (b_a b_b) b_c, while b_a (b_b b_c) = b_abc stays nonzero
+    arrows = alg.arrows
+    a, b = next(
+        (alg.arrow_idx[x], alg.arrow_idx[y])
+        for x, y, z in itertools.product(range(len(arrows)), repeat=3)
+        if arrows[x].tgt == arrows[y].src and arrows[y].tgt == arrows[z].src
+    )
+    (ab,) = np.flatnonzero(alg.mult[a, b])
+    mult = alg.mult.copy()
+    mult[a, b, ab] = 0
+    assert associativity_rejected(with_mult(alg, mult))
 
 
 def test_opposite_is_involution(A):

@@ -11,8 +11,10 @@ from torscat.lattice import (
     Congruence,
     FinLattice,
     NotALattice,
+    VerificationFailed,
     all_congruences,
     brute_force_congruences,
+    check_joins_are_unions,
     congruence_join,
     congruence_lattice,
     forcing_poset,
@@ -156,6 +158,16 @@ def test_from_sets_rejects_non_lattices():
     assert err.value.kind == "join" and set(err.value.pair) == {"a", "b"}
     with pytest.raises(NotALattice):
         FinLattice.from_sets([], [])
+
+
+def test_check_joins_are_unions():
+    masks = [0b00, 0b01, 0b10, 0b11]
+    check_joins_are_unions(FinLattice.from_sets(masks, "0abt"), masks)
+    # the join of {1} and {2} is {1,2,3}, not their union
+    masks = [0b000, 0b001, 0b010, 0b111]
+    with pytest.raises(VerificationFailed, match="join is not the union") as err:
+        check_joins_are_unions(FinLattice.from_sets(masks, "0abt"), masks)
+    assert err.value.data == {"a": "a", "b": "b"}
 
 
 def sweep_is_distributive(L):

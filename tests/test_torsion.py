@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from torscat.torsion import (
     Subcat,
     TorsionPair,
     VerificationFailed,
-    _unrank_pairs,
     enumerate_torsion_pairs,
     extension_middles,
     free_closure,
@@ -124,15 +121,24 @@ def test_budget_exceeded():
         enumerate_torsion_pairs(incidence_algebra(interval_poset(2)), class_cap=5)
 
 
-def test_unrank_pairs_is_combinations_order():
-    for n in range(62):
-        a, b = _unrank_pairs(np.arange(n * (n - 1) // 2), n)
-        assert list(zip(a, b)) == list(itertools.combinations(range(n), 2))
-
-
-def test_sampled_join_audit(int2_ctx, int2_lattice):
-    TL = enumerate_torsion_pairs(int2_ctx, join_audit=5)
-    assert TL.labels == int2_lattice.labels and np.array_equal(TL.join, int2_lattice.join)
+def test_step_join_certificate(int2_ctx, int2_lattice, monkeypatch):
+    # the closure of one search step's union U (not itself a class) comes
+    # back as the top class; the class c(U) also closes a union of at most
+    # two principal classes, so the search still finds it without that step
+    # and finds the same classes: only the step-join certificate can notice
+    ctx = int2_ctx
+    true = ctx.torsion_closure_mask
+    principal = [true(1 << i) for i in range(ctx.k)]
+    near = {a | b for a in principal for b in principal}
+    bad = next(
+        u
+        for pr in int2_lattice.pairs
+        for u in (pr.tors_mask | principal[i] for i in bits(ctx.all_mask & ~pr.tors_mask))
+        if true(u) not in (u, ctx.all_mask) and any(v != u and true(v) == true(u) for v in near)
+    )
+    monkeypatch.setattr(ctx, "torsion_closure_mask", lambda m: ctx.all_mask if m == bad else true(m))
+    with pytest.raises(VerificationFailed, match="join is not the closure of the union"):
+        enumerate_torsion_pairs(ctx)
 
 
 def test_closure_quotient_audit_triple_sums(example_ctx, example_lattice):
