@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from .algebra import LimitExceeded
 from .poset import Poset, bits, covers_from_up, poset_isos, transitive_closure
 
 __all__ = [
@@ -29,6 +30,10 @@ __all__ = [
     "is_congruence_uniform",
     "lattice_isomorphic",
 ]
+
+
+# Dense meet/join tables take 8 n^2 bytes: 537 MB at this cap.
+TABLE_CAP = 8192
 
 
 class NotALattice(Exception):
@@ -71,10 +76,15 @@ class FinLattice:
 
         Element i is ``masks[i]``.  The meet of two members is their
         intersection, which must be a member; the join is the least member
-        containing their union.  Raises NotALattice otherwise.
+        containing their union.  Raises NotALattice otherwise, and
+        LimitExceeded before tables larger than ``TABLE_CAP`` are built.
         """
         masks = [int(m) for m in masks]
         n = len(masks)
+        if n > TABLE_CAP:
+            raise LimitExceeded(
+                f"lattice of {n} elements exceeds the cap of {TABLE_CAP} elements for dense meet/join tables"
+            )
         if n == 0:
             raise NotALattice(None, None, "bottom (empty order)")
         index = {m: i for i, m in enumerate(masks)}

@@ -1,13 +1,16 @@
 """Torsion pairs over a fixed finite list of indecomposables.
 
 A subcategory is a bitmask over the indecomposable list of an algebra
-(additive closure is implicit).  The torsion closure is computed as the
-closure of a generation step (trace = quotients of finite sums) and a
-filtration step (X joins when it has a submodule U with U and X/U already
-in the class); every class produced by the enumeration is then certified
+(additive closure is implicit).  Each indecomposable M_j keeps its list of
+submodules with the types of every U and M_j/U; a trace (the sum of the
+images of all maps from a subcategory) is a position in that list, joined
+from one row-reduced trace per module.  The torsion closure alternates a
+generation step (the trace is all of M_j) and a filtration step (M_j has a
+submodule U with U and M_j/U already in the class).  The enumeration takes
+the closure of each semibrick once and certifies that the classes found
+are all of them (see ``enumerate_torsion_pairs``); every class is checked
 against the exact torsion-pair definition, so a closure shortfall surfaces
-as a hard error instead of a wrong lattice; joins are certified on the
-enumeration's own closure steps (see ``enumerate_torsion_pairs``).
+as a hard error instead of a wrong lattice.
 """
 
 from __future__ import annotations
@@ -171,6 +174,13 @@ class ModuleContext:
         self.hom_out(0)
         return self._t["hom_in"][j]
 
+    def bricks(self):
+        """The M_i with End(M_i) = F_p, as a mask (the End-dimension test)."""
+        if "bricks" not in self._t:
+            tab = self.hom_table()
+            self._t["bricks"] = sum(1 << i for i in range(self.k) if tab[i, i] == 1)
+        return self._t["bricks"]
+
     def _trace_rows(self, i, j):
         """Per-vertex stacked image rows of all maps M_i -> M_j."""
         key = ("tr", i, j)
@@ -187,25 +197,44 @@ class ModuleContext:
             self._t[key] = rows
         return self._t[key]
 
+    def _trace_index(self, j, relevant):
+        """Position in M_j's submodule list of the trace of add(relevant).
+
+        ``relevant`` holds only modules with maps into M_j.  A single
+        module's trace is row-reduced once from the images of a Hom basis;
+        a larger mask joins the traces of its lowest member and the rest.
+        """
+        key = ("trace", j, relevant)
+        t = self._t.get(key)
+        if t is None:
+            if relevant & (relevant - 1) == 0:
+                dims, p = self.indecs[j].dims, self.algebra.p
+                if relevant:
+                    rows = self._trace_rows(relevant.bit_length() - 1, j)
+                else:
+                    rows = [np.zeros((0, d)) for d in dims]
+                t = self._submodule_index(j, tuple(Subspace.from_rows(r, d, p) for r, d in zip(rows, dims)))
+            else:
+                low = relevant & -relevant
+                t = self._join_index(j, self._trace_index(j, low), self._trace_index(j, relevant ^ low))
+            self._t[key] = t
+        return t
+
+    def _join_index(self, j, a, b):
+        """Position of the sum of the submodules at positions a and b of M_j."""
+        if a == b or b == 0:
+            return a
+        if a == 0:
+            return b
+        key = ("join", j, min(a, b), max(a, b))
+        if key not in self._t:
+            subs = self._submodules(j)[0]
+            self._t[key] = self._submodule_index(j, tuple(x + y for x, y in zip(subs[a], subs[b])))
+        return self._t[key]
+
     def trace_subspaces(self, j, mask):
         """The trace submodule of add(mask) in M_j, as per-vertex subspaces."""
-        M = self.indecs[j]
-        p = self.algebra.p
-        relevant = mask & self.hom_in(j)
-        nv = self.algebra.n_vertices
-        stacked = [[] for _ in range(nv)]
-        for i in bits(relevant):
-            rows = self._trace_rows(i, j)
-            for v in range(nv):
-                if rows[v].shape[0]:
-                    stacked[v].append(rows[v])
-        out = []
-        for v in range(nv):
-            if stacked[v]:
-                out.append(Subspace.from_rows(np.vstack(stacked[v]), M.dims[v], p))
-            else:
-                out.append(Subspace.zero(M.dims[v], p))
-        return tuple(out)
+        return self._submodules(j)[0][self._trace_index(j, mask & self.hom_in(j))]
 
     def gen_test(self, j, mask):
         """Is M_j a quotient of a finite direct sum of members of mask?"""
@@ -293,17 +322,29 @@ class ModuleContext:
 
     # -- submodule/quotient type pairs ----------------------------------------
 
+    def _submodules(self, j):
+        """M_j's submodules in ``all_submodules`` order (zero first, M_j
+        last), each position's (types of U, types of M_j/U), and the
+        position of each submodule."""
+        key = ("subs", j)
+        if key not in self._t:
+            X = self.indecs[j]
+            subs = X.all_submodules()
+            types = [(self.identify_mask(X.sub(s)[0]), self.identify_mask(X.quotient(s)[0])) for s in subs]
+            self._t[key] = (subs, {s: t for t, s in enumerate(subs)}, types)
+        return self._t[key]
+
+    def _submodule_index(self, j, subspaces):
+        t = self._submodules(j)[1].get(subspaces)
+        if t is None:
+            raise VerificationFailed("a trace is not a submodule in the list", {"at": j})
+        return t
+
     def subquot_pairs(self, j):
         """All (types of U, types of X/U) over submodules U of X = M_j."""
         key = ("sq", j)
         if key not in self._t:
-            X = self.indecs[j]
-            pairs = set()
-            for subs in X.all_submodules():
-                U, _ = X.sub(subs)
-                Q, _ = X.quotient(subs)
-                pairs.add((self.identify_mask(U), self.identify_mask(Q)))
-            self._t[key] = tuple(sorted(pairs))
+            self._t[key] = tuple(sorted(set(self._submodules(j)[2])))
         return self._t[key]
 
     def sub_types(self, j):
@@ -395,6 +436,10 @@ class ModuleContext:
     def free_closure_mask(self, mask):
         return self._closure_mask(mask, self.cogen_test)
 
+    def filt_mask(self, mask):
+        """The M_j filtered by members of mask: its closure under extensions."""
+        return self._closure_mask(mask, lambda j, cur: False)
+
     def _closure_mask(self, mask, test):
         """Grow ``mask`` until no M_j outside it passes ``test`` (generated
         or cogenerated by the mask) or is an extension of two of its members."""
@@ -432,16 +477,7 @@ class ModuleContext:
         for j in range(self.k):
             if (mask >> j) & 1 or (F >> j) & 1:
                 continue
-            key = ("cert", j, mask & self.hom_in(j))
-            if key in self._t:
-                tmask, qmask = self._t[key]
-            else:
-                X = self.indecs[j]
-                tr = self.trace_subspaces(j, mask)
-                T, _ = X.sub(tr)
-                Q, _ = X.quotient(tr)
-                tmask, qmask = self.identify_mask(T), self.identify_mask(Q)
-                self._t[key] = (tmask, qmask)
+            tmask, qmask = self._submodules(j)[2][self._trace_index(j, mask & self.hom_in(j))]
             if tmask & ~mask:
                 raise VerificationFailed(
                     "trace submodule leaves the class", {"mask": mask, "at": j, "trace": tmask}
@@ -557,6 +593,18 @@ class TorsionLattice(FinLattice):
         return {pr.tors_mask: i for i, pr in enumerate(self.pairs)}
 
 
+def _semibricks(hom, bricks):
+    """Every nonempty semibrick, as (S, b): the semibrick S | b grows S, an
+    earlier answer or the empty one, by a brick b above every brick of S."""
+    orth = {b: sum(1 << c for c in bits(bricks) if not hom[b, c] and not hom[c, b]) for b in bits(bricks)}
+    stack = [(0, bricks)]  # (S, the bricks above max S orthogonal to all of S)
+    while stack:
+        S, grow = stack.pop()
+        for b in bits(grow):
+            yield S, b
+            stack.append((S | 1 << b, grow & orth[b] & ~((2 << b) - 1)))
+
+
 def enumerate_torsion_pairs(
     algebra_or_context,
     dim_bound=2,
@@ -565,14 +613,40 @@ def enumerate_torsion_pairs(
 ):
     """The lattice of all torsion pairs, ordered by inclusion of torsion classes.
 
-    Breadth-first join closure from the principal classes T(i) = c({i}),
-    with c the torsion closure; every class found is certified against the
-    exact torsion-pair definition, and meets are verified to be
-    intersections.  Each search step's result c(T | T(i)), for a class T
-    and i outside T, must be the lattice join of T and T(i).  That certifies
-    every join: a class B is the join of the T(i) with i in B, so A v B is a
-    chain of steps (or of joins with a T(i) already inside), and since
-    c(c(X) | Y) = c(X | Y) for a closure operator, it ends at c(A | B).
+    One torsion class per semibrick.  A brick is an M_i with End(M_i) = F_p
+    (the End-dimension test), a semibrick a set of pairwise Hom-orthogonal
+    bricks, and for a tau-tilting finite algebra S -> T(S), the smallest
+    torsion class containing S, is a bijection from semibricks onto torsion
+    classes (Asai, arXiv:1610.05860).  The semibricks are the cliques of the
+    orthogonality graph on bricks; each grows a smaller one S by a brick b,
+    and T(S | b) is the closure of T(S) | b.  Two semibricks with one class
+    raise VerificationFailed, and every class is certified against the
+    exact torsion-pair definition.
+
+    The bijection is a proof only if the brick list is complete, so the
+    family found is checked against two theorems on tau-tilting finite
+    algebras with n simples:
+
+    - every T < T' in tors A has a brick B in T' and in the perp of T, and
+      if T' covers T, then T' and the perp of T meet in exactly Filt(B)
+      (Demonet-Iyama-Reading-Reiten-Thomas, arXiv:1711.01785);
+    - every class has exactly n covers, upper and lower together
+      (Adachi-Iyama-Reiten, arXiv:1210.1036).
+
+    The first is checked on every cover of the family: its labels, the
+    members of T' in the perp of T, must be Filt(B) for the one brick B
+    among them.  Then each cover of the family is a cover in tors A: a class
+    strictly between would give two bricks in the labels (one below it, one
+    in its perp), and a second brick is never filtered by B, whether or not
+    the End-dimension test found it.  The second is checked as a count, so
+    each class found has all of its covers in tors A in the family, and as
+    the Hasse diagram of tors A is connected and 0 is in the family, no
+    class is missing.  Meets are then intersections (``from_sets`` checks
+    that each is a member) and the join of two classes is the closure of
+    their union, the least member containing it, so the join table needs
+    no certificate of its own.  All of this takes the indecomposable list
+    as complete; nothing here certifies the dimension bound.
+
     Raises BudgetExceeded if more than ``class_cap`` classes appear or the
     time budget (seconds) runs out.
     """
@@ -582,43 +656,47 @@ def enumerate_torsion_pairs(
         else ModuleContext.for_algebra(algebra_or_context, dim_bound)
     )
     t0 = time.monotonic()
-    principal = [ctx.torsion_closure_mask(1 << i) for i in range(ctx.k)]
-    found = {0: 0}  # each class maps to itself, so steps can share one object
-    steps = {}  # class -> the classes c(class | T(i)) for each i outside it, in order
-    frontier = [0]
-    while frontier:
-        cur = frontier.pop()
-        row = steps[cur] = []
-        for i in range(ctx.k):
-            if (cur >> i) & 1:
-                continue
-            j = ctx.torsion_closure_mask(cur | principal[i])
-            if j not in found:
-                found[j] = j
-                frontier.append(j)
-                if len(found) > class_cap:
-                    raise BudgetExceeded(len(found), "class cap")
-                if time_budget is not None and time.monotonic() - t0 > time_budget:
-                    raise BudgetExceeded(len(found), "time budget")
-            row.append(found[j])
+    bricks = ctx.bricks()
+    tors = {0: 0}  # semibrick -> T(semibrick)
+    found = {0: 0}  # T(semibrick) -> semibrick
+    for S, b in _semibricks(ctx.hom_table(), bricks):
+        T = ctx.torsion_closure_mask(tors[S] | 1 << b)
+        if T in found:
+            raise VerificationFailed(
+                "two semibricks give the same torsion class",
+                {"class": T, "semibricks": [found[T], S | 1 << b]},
+            )
+        tors[S | 1 << b] = T
+        found[T] = S | 1 << b
+        if len(found) > class_cap:
+            raise BudgetExceeded(len(found), "class cap")
+        if time_budget is not None and time.monotonic() - t0 > time_budget:
+            raise BudgetExceeded(len(found), "time budget")
     masks = sorted(found, key=lambda m: (bin(m).count("1"), m))
-    index = {m: i for i, m in enumerate(masks)}
     pairs = [TorsionPair(ctx, m) for m in masks]
 
     labels = [ctx.mask_label(m) for m in masks]
     try:
         L = FinLattice.from_sets(masks, labels)
     except NotALattice as err:
-        if err.kind != "meet":
-            raise
         a, b = (masks[labels.index(x)] for x in err.pair)
-        raise VerificationFailed("meet is not the intersection", {"a": a, "b": b}) from err
-    tops = [index.get(m) for m in principal]
-    for cur, row in steps.items():
-        a = index[cur]
-        for i, j in zip(bits(ctx.all_mask & ~cur), row):
-            if tops[i] is None or L.join[a, tops[i]] != index[j]:
-                raise VerificationFailed("join is not the closure of the union", {"a": cur, "b": principal[i]})
+        what = "meet is not the intersection" if err.kind == "meet" else "no class contains the union"
+        raise VerificationFailed(what, {"a": a, "b": b}) from err
+    n, cov, filt = ctx.algebra.n_vertices, L.covers(), {}
+    degree = [bin(c).count("1") for c in cov]
+    for a, b in L.cover_pairs():
+        degree[b] += 1
+        label = masks[b] & pairs[a].free_mask
+        brick = label & bricks
+        if brick not in filt:
+            filt[brick] = ctx.filt_mask(brick) if brick and not brick & (brick - 1) else None
+        if label != filt[brick]:
+            raise VerificationFailed(
+                "cover is not labelled by a single brick", {"a": masks[a], "b": masks[b]}
+            )
+    for a, d in enumerate(degree):
+        if d != n:
+            raise VerificationFailed(f"class has {d} covers, not {n}", {"class": masks[a]})
     return TorsionLattice(L.up, L.meet, L.join, labels, pairs, ctx)
 
 

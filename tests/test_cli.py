@@ -125,6 +125,22 @@ def test_tors_budget_exit_code(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_cap_messages_are_pinned(capsys):
+    code, out, err = run(capsys, "--cap", "10", "tors", "An:4")
+    assert (code, out, err) == (3, "", "budget exceeded: budget exceeded after 11 classes (class cap)\n")
+    code, out, err = run(capsys, "--budget", "0", "tors", "An:4")
+    assert code == 3 and out == "" and err.endswith(" classes (time budget)\n")
+
+
+def test_lattice_table_cap_exit_code(capsys):
+    # int:9 has 16,796 order ideals; their dense meet/join tables would take 2.3 GB
+    code, out, err = run(capsys, "omega", "int:9")
+    assert (code, out) == (3, "")
+    assert err == (
+        "limit exceeded: lattice of 16796 elements exceeds the cap of 8192 elements for dense meet/join tables\n"
+    )
+
+
 def test_flags_accepted_after_subcommand(capsys):
     code, out, _ = run(capsys, "tors", "example", "--json")
     assert code == 0 and json.loads(out)["classes"] == 6

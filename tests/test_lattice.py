@@ -1,10 +1,12 @@
 import functools
 import json
+import time
 
 import numpy as np
 import pytest
 
 from torscat import torsion
+from torscat.algebra import LimitExceeded
 from torscat.catalan import dyck_lattice, tamari_lattice, typeA_torsion_lattice
 from torscat.cli import main
 from torscat.lattice import (
@@ -470,6 +472,15 @@ def test_congruences_match_cover_pairs_on_corpus():
 def test_congruences_match_cover_pairs_on_catalan_lattices(build, ns):
     for n in ns:
         assert_congruences_match_cover_pairs(build(n))
+
+
+def test_congruence_lattice_of_dyck6_hits_table_cap():
+    # Dyck_6 has 2^15 congruences; their meet/join tables would take 8.6 GB
+    L = dyck_lattice(6)
+    t0 = time.monotonic()
+    with pytest.raises(LimitExceeded, match="lattice of 32768 elements exceeds the cap of 8192 elements"):
+        congruence_lattice(L)
+    assert time.monotonic() - t0 < 30
 
 
 def test_congruence_lattice_matches_refinement_order():

@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from oracles import RrefTorsion
 
+from torscat import torsion
 from torscat.algebra import incidence_algebra, modules_isomorphic, path_algebra_An, two_cycle_algebra
 from torscat.catalan import _interval_index, tamari_lattice, typeA_torsion_classes, typeA_torsion_lattice
 from torscat.lattice import lattice_isomorphic
@@ -121,24 +125,88 @@ def test_budget_exceeded():
         enumerate_torsion_pairs(incidence_algebra(interval_poset(2)), class_cap=5)
 
 
-def test_step_join_certificate(int2_ctx, int2_lattice, monkeypatch):
-    # the closure of one search step's union U (not itself a class) comes
-    # back as the top class; the class c(U) also closes a union of at most
-    # two principal classes, so the search still finds it without that step
-    # and finds the same classes: only the step-join certificate can notice
-    ctx = int2_ctx
-    true = ctx.torsion_closure_mask
-    principal = [true(1 << i) for i in range(ctx.k)]
-    near = {a | b for a in principal for b in principal}
-    bad = next(
-        u
-        for pr in int2_lattice.pairs
-        for u in (pr.tors_mask | principal[i] for i in bits(ctx.all_mask & ~pr.tors_mask))
-        if true(u) not in (u, ctx.all_mask) and any(v != u and true(v) == true(u) for v in near)
-    )
-    monkeypatch.setattr(ctx, "torsion_closure_mask", lambda m: ctx.all_mask if m == bad else true(m))
-    with pytest.raises(VerificationFailed, match="join is not the closure of the union"):
+ORACLE_CASES = {
+    "example": (two_cycle_algebra, 2, 2),
+    "antichain3": (lambda p: incidence_algebra(Poset.antichain(3), p=p), 2, 2),
+    "An4": (lambda p: path_algebra_An(4, p=p), 2, 2),
+    "An5": (lambda p: path_algebra_An(5, p=p), 2, 2),
+    "int2": (lambda p: incidence_algebra(interval_poset(2), p=p), 2, 2),
+    "int2-F3": (lambda p: incidence_algebra(interval_poset(2), p=p), 3, 2),
+    # dimension bound 1 is complete for A_n, whose indecomposables are thin
+    "An6-F3": (lambda p: path_algebra_An(6, p=p), 3, 1),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_semibrick_classes_match_bfs_oracle(case):
+    build, p, dim_bound = ORACLE_CASES[case]
+    ctx = ModuleContext.for_algebra(build(p), dim_bound)
+    TL = enumerate_torsion_pairs(ctx)
+    assert {pr.tors_mask for pr in TL.pairs} == RrefTorsion(ctx).classes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: incidence_algebra(interval_poset(2)),
+    lambda: path_algebra_An(4),
+], ids=["int2", "An4"])
+def test_trace_index_matches_rref_trace(build):
+    ctx = ModuleContext.for_algebra(build(), 2)
+    oracle = RrefTorsion(ctx)
+    for mask in range(1 << ctx.k):
+        for j in range(ctx.k):
+            assert ctx.trace_subspaces(j, mask) == oracle.trace_subspaces(j, mask)
+            assert ctx.gen_test(j, mask) == oracle.generated(j, mask)
+
+
+@pytest.mark.extended  # 16-22 s, most of it in the breadth-first oracle
+def test_int3_classes_and_traces_match_rref_oracle():
+    ctx = ModuleContext.for_algebra(incidence_algebra(interval_poset(3)), 2)
+    TL = enumerate_torsion_pairs(ctx)
+    oracle = RrefTorsion(ctx)
+    assert {pr.tors_mask for pr in TL.pairs} == oracle.classes()
+    for pr in TL.pairs:
+        for j in range(ctx.k):
+            assert ctx.trace_subspaces(j, pr.tors_mask) == oracle.trace_subspaces(j, pr.tors_mask)
+
+
+def test_certificate_catches_dropped_class(int2_ctx, int2_lattice, monkeypatch):
+    # T({S[1,2], S[1,1]}) = {S[1,2], S[1,1], P[1,1]} is meet-irreducible, so
+    # the other 13 classes are still a lattice with the right brick labels;
+    # only the cover count notices the gap
+    assert any(names_of(int2_ctx, pr.tors_mask) == {"S[1,2]", "S[1,1]", "P[1,1]"} for pr in int2_lattice.pairs)
+    index = name_index(int2_ctx)
+    drop = (1 << index["S[1,2]"]) | (1 << index["S[1,1]"])
+    search = torsion._semibricks
+    monkeypatch.setattr(torsion, "_semibricks", lambda hom, bricks: (
+        (S, b) for S, b in search(hom, bricks) if S | 1 << b != drop))
+    with pytest.raises(VerificationFailed, match="class has 2 covers, not 3"):
+        enumerate_torsion_pairs(int2_ctx)
+
+
+def test_certificate_catches_duplicate_class(int2_ctx, monkeypatch):
+    search = torsion._semibricks
+    monkeypatch.setattr(torsion, "_semibricks", lambda hom, bricks: itertools.chain(
+        itertools.islice(search(hom, bricks), 1), search(hom, bricks)))
+    with pytest.raises(VerificationFailed, match="two semibricks give the same torsion class"):
+        enumerate_torsion_pairs(int2_ctx)
+
+
+def test_certificate_catches_hidden_brick(monkeypatch):
+    # without the brick I1 the five classes left form a pentagon, which is
+    # 2-regular and closed under meets; the cover {S2} < top then has S1 and
+    # I1 in the top and the perp of {S2}, and I1 is not filtered by S1
+    ctx = ModuleContext.for_algebra(two_cycle_algebra(), 2)
+    bricks = ctx.bricks()
+    monkeypatch.setattr(ctx, "bricks", lambda: bricks & ~(1 << name_index(ctx)["I1"]))
+    with pytest.raises(VerificationFailed, match="cover is not labelled by a single brick"):
         enumerate_torsion_pairs(ctx)
+
+
+def test_filt_mask(example_ctx):
+    idx = name_index(example_ctx)
+    assert names_of(example_ctx, example_ctx.filt_mask(1 << idx["S1"])) == {"S1"}
+    assert names_of(example_ctx, example_ctx.filt_mask((1 << idx["S1"]) | (1 << idx["S2"]))) == {
+        "S1", "S2", "P1", "P2", "I1"}
 
 
 def test_closure_quotient_audit_triple_sums(example_ctx, example_lattice):
