@@ -207,8 +207,8 @@ def tamari_lattice(n):
     """Binary trees with n internal nodes; covers are single rotations.
 
     The order is the transitive closure of the rotation covers, computed by
-    breadth-first search; the result is validated against the lattice
-    axioms by construction of the meet/join tables.
+    breadth-first search; ``from_order`` checks that the principal
+    down-sets are closed under intersection with a greatest one.
     """
     if n < 1:
         raise ValueError("need n >= 1")

@@ -2,18 +2,16 @@
 
 Lattice axioms, (semi)distributivity, join-irreducibles, congruences, the
 congruence lattice and the forcing poset of join-irreducible congruences.
-Meet/join tables are dense numpy arrays; orders are bitmask rows as in
-``poset``.
+A lattice is its order, stored as bitmask rows as in ``poset``; meets and
+joins are looked up from those rows.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .algebra import LimitExceeded
-from .poset import Poset, bits, covers_from_up, poset_isos, transitive_closure
+from .poset import Poset, bits, covers_from_up, poset_isos, transitive_closure, unions
 
 __all__ = [
     "NotALattice",
@@ -32,8 +30,8 @@ __all__ = [
 ]
 
 
-# Dense meet/join tables take 8 n^2 bytes: 537 MB at this cap.
-TABLE_CAP = 8192
+# The pairwise intersection check of from_sets takes n^2/2 steps: 33.5M at this cap.
+PAIRWISE_CAP = 8192
 
 
 class NotALattice(Exception):
@@ -52,20 +50,16 @@ class VerificationFailed(Exception):
 
 
 class FinLattice:
-    __slots__ = ("n", "up", "meet", "join", "labels", "_down", "_covers")
+    """A finite lattice as up-set bitmasks (``up[i]`` has bit j iff i <= j) and labels."""
 
-    def __init__(self, up, meet, join, labels):
+    __slots__ = ("n", "up", "labels", "_down", "_covers", "_up_index", "_down_index")
+
+    def __init__(self, up, labels):
         object.__setattr__(self, "n", len(up))
         object.__setattr__(self, "up", tuple(int(m) for m in up))
-        meet = np.asarray(meet, dtype=np.int32)
-        join = np.asarray(join, dtype=np.int32)
-        meet.setflags(write=False)
-        join.setflags(write=False)
-        object.__setattr__(self, "meet", meet)
-        object.__setattr__(self, "join", join)
         object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "_down", None)
-        object.__setattr__(self, "_covers", None)
+        for slot in ("_down", "_covers", "_up_index", "_down_index"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FinLattice is immutable")
@@ -74,22 +68,26 @@ class FinLattice:
     def from_sets(cls, masks, labels):
         """The lattice of a family of sets (bitmasks) ordered by inclusion.
 
-        Element i is ``masks[i]``.  The meet of two members is their
-        intersection, which must be a member; the join is the least member
+        Element i is ``masks[i]``.  A family closed under intersection with
+        one greatest member is a lattice: the meet of two members is their
+        intersection, and the join is the intersection of the members
         containing their union.  Raises NotALattice otherwise, and
-        LimitExceeded before tables larger than ``TABLE_CAP`` are built.
+        LimitExceeded before the pairwise check on more than
+        ``PAIRWISE_CAP`` members.
         """
         masks = [int(m) for m in masks]
         n = len(masks)
-        if n > TABLE_CAP:
-            raise LimitExceeded(
-                f"lattice of {n} elements exceeds the cap of {TABLE_CAP} elements for dense meet/join tables"
-            )
+        if n > PAIRWISE_CAP:
+            raise LimitExceeded(f"lattice of {n} elements exceeds the cap of {PAIRWISE_CAP} elements")
         if n == 0:
             raise NotALattice(None, None, "bottom (empty order)")
         index = {m: i for i, m in enumerate(masks)}
         if len(index) != n:
             raise ValueError("the sets of a lattice must be distinct")
+        for a, ma in enumerate(masks):
+            if not index.keys() >= {ma & mb for mb in masks[a + 1 :]}:
+                b = next(b for b in range(a + 1, n) if ma & masks[b] not in index)
+                raise NotALattice(labels[a], labels[b], "meet")
         # up[i] = members containing masks[i]: the AND of one column per point
         column = {}
         for i, m in enumerate(masks):
@@ -101,22 +99,10 @@ class FinLattice:
             for t in bits(m):
                 u &= column[t]
             up.append(u)
-        # the upper bounds of a and b are up[a] & up[b]; their least element
-        # is the member whose up-set is exactly that mask
-        up_index = {u: i for i, u in enumerate(up)}
-        meet = np.zeros((n, n), dtype=np.int32)
-        join = np.zeros((n, n), dtype=np.int32)
-        for a in range(n):
-            ma, ua = masks[a], up[a]
-            for table, row, kind in (
-                (meet, [index.get(ma & mb, -1) for mb in masks[a:]], "meet"),
-                (join, [up_index.get(ua & ub, -1) for ub in up[a:]], "join"),
-            ):
-                if -1 in row:
-                    raise NotALattice(labels[a], labels[a + row.index(-1)], kind)
-                table[a, a:] = row
-                table[a:, a] = row
-        return cls(up, meet, join, labels)
+        tops = [i for i, u in enumerate(up) if u == 1 << i]
+        if len(tops) > 1:
+            raise NotALattice(labels[tops[0]], labels[tops[1]], "join")
+        return cls(up, labels)
 
     @classmethod
     def from_order(cls, up, labels=None):
@@ -160,6 +146,18 @@ class FinLattice:
                 return i
         raise AssertionError("lattice without top")
 
+    def join(self, a, b):
+        """The least upper bound: the element whose up-set is up[a] & up[b]."""
+        if self._up_index is None:
+            object.__setattr__(self, "_up_index", {u: i for i, u in enumerate(self.up)})
+        return self._up_index[self.up[a] & self.up[b]]
+
+    def meet(self, a, b):
+        """The greatest lower bound: the element whose down-set is down[a] & down[b]."""
+        if self._down_index is None:
+            object.__setattr__(self, "_down_index", {d: i for i, d in enumerate(self.down())})
+        return self._down_index[self._down[a] & self._down[b]]
+
     def covers(self):
         if self._covers is None:
             object.__setattr__(self, "_covers", tuple(covers_from_up(self.up)))
@@ -174,7 +172,7 @@ class FinLattice:
 
     def opposite(self):
         """The order-dual lattice: meets and joins exchanged."""
-        return FinLattice(self.down(), self.join, self.meet, self.labels)
+        return FinLattice(self.down(), self.labels)
 
     def __eq__(self, other):
         if not isinstance(other, FinLattice):
@@ -261,12 +259,13 @@ def _has_extreme(S, beyond):
 
 def check_joins_are_unions(L, masks):
     """Raise VerificationFailed unless every join in L, built by
-    from_sets(masks, ...), is the union of its operands.  from_sets fills
-    the join table symmetrically, so the pairs a <= b cover every join."""
+    from_sets(masks, ...), is the union of its operands: the family is
+    closed under union, so the least member above a union is the union."""
+    members = set(masks)
     for a, ma in enumerate(masks):
-        for b, j in enumerate(L.join[a, a:].tolist(), a):
-            if masks[j] != ma | masks[b]:
-                raise VerificationFailed("join is not the union", {"a": L.labels[a], "b": L.labels[b]})
+        if not members >= {ma | mb for mb in masks[a + 1 :]}:
+            b = next(b for b in range(a + 1, len(masks)) if ma | masks[b] not in members)
+            raise VerificationFailed("join is not the union", {"a": L.labels[a], "b": L.labels[b]})
 
 
 # -- congruences -------------------------------------------------------------
@@ -364,20 +363,14 @@ def principal_congruence(L, a, b):
     queue = []
     if uf.union(a, b):
         queue.append((a, b))
-    M, J = L.meet, L.join
     while queue:
         x, y = queue.pop()
-        mx, my = M[x], M[y]
-        jx, jy = J[x], J[y]
-        for c in range(n):
-            u, v = int(mx[c]), int(my[c])
-            if uf.find(u) != uf.find(v):
-                uf.union(u, v)
-                queue.append((u, v))
-            u, v = int(jx[c]), int(jy[c])
-            if uf.find(u) != uf.find(v):
-                uf.union(u, v)
-                queue.append((u, v))
+        for op in (L.meet, L.join):
+            for c in range(n):
+                u, v = op(x, c), op(y, c)
+                if uf.find(u) != uf.find(v):
+                    uf.union(u, v)
+                    queue.append((u, v))
     return uf.to_congruence()
 
 
@@ -401,19 +394,22 @@ def _dependency(L):
     j D k iff some x has j <= k v x but not j <= k_* v x (k_* the lower
     cover of k), and con(j_*, j) <= con(k_*, k) iff j D* k, the
     reflexive-transitive closure (Freese-Jezek-Nation, Free Lattices,
-    Lemma 2.36 and Thm 2.35).  With t indexing L.join_irreducibles(),
-    returns (below, sig): below[s] holds the t with j_t D* j_s, and sig[x]
-    the t with j_t <= x.  O(|J| n) operations on |J|-bit masks.
+    Lemma 2.36 and Thm 2.35).  The x can be taken meet-irreducible and
+    above k_*: k_* v x is a meet of such m, one of them not above j, and
+    k v m is above k v x.  With t indexing L.join_irreducibles(), returns
+    (below, sig): below[s] holds the t with j_t D* j_s, and sig[x] the t
+    with j_t <= x.  |J| |M| joins and operations on |J|-bit masks.
     """
     ji = L.join_irreducibles()
     sig = [0] * L.n
     for t, (j, _) in enumerate(ji):
         for x in bits(L.up[j]):
             sig[x] |= 1 << t
+    mi = sum(1 << m for m, _ in L.meet_irreducibles())
     dep = [0] * len(ji)
     for s, (k, low) in enumerate(ji):
-        for above, above_low in zip(L.join[k].tolist(), L.join[low].tolist()):
-            dep[s] |= sig[above] & ~sig[above_low]
+        for m in bits(L.up[low] & ~L.up[k] & mi):
+            dep[s] |= sig[L.join(k, m)] & ~sig[m]
     return transitive_closure(dep), sig
 
 
@@ -429,17 +425,7 @@ def _collapse(sig, S):
 def all_congruences(L):
     """Every congruence of L: one per D*-down-set of join-irreducibles (FJN Thm 2.35)."""
     below, sig = _dependency(L)
-    rows = set(below)
-    found = {0}
-    frontier = [0]
-    while frontier:
-        S = frontier.pop()
-        for r in rows:
-            T = S | r
-            if T not in found:
-                found.add(T)
-                frontier.append(T)
-    return sorted((_collapse(sig, S) for S in found), key=_congruence_sort_key)
+    return sorted((_collapse(sig, S) for S in unions(below)), key=_congruence_sort_key)
 
 
 def congruence_lattice(L):
@@ -486,8 +472,9 @@ def brute_force_congruences(L):
     """
     if L.n > 10:
         raise ValueError("brute force congruence oracle limited to |L| <= 10")
-    M, J = L.meet, L.join
     n = L.n
+    M = [[L.meet(x, c) for c in range(n)] for x in range(n)]
+    J = [[L.join(x, c) for c in range(n)] for x in range(n)]
     out = []
     for rgs in _set_partitions(n):
         ok = True
@@ -496,7 +483,7 @@ def brute_force_congruences(L):
                 if rgs[x] != rgs[y]:
                     continue
                 for c in range(n):
-                    if rgs[M[x, c]] != rgs[M[y, c]] or rgs[J[x, c]] != rgs[J[y, c]]:
+                    if rgs[M[x][c]] != rgs[M[y][c]] or rgs[J[x][c]] != rgs[J[y][c]]:
                         ok = False
                         break
                 if not ok:
@@ -546,7 +533,8 @@ def lattice_isomorphic(L, M):
 
     Searches order isomorphisms between the join-irreducible subposets and
     lifts via joins (any lattice iso is determined by its JI restriction),
-    then verifies the lift against both meet and join tables.
+    then verifies that the lift is a bijection mapping the covers of L
+    exactly onto the covers of M, hence an order isomorphism.
     """
     if L.n != M.n:
         return None
@@ -569,26 +557,22 @@ def lattice_isomorphic(L, M):
         return Poset([lat.labels[e] for e in elems], up, _checked=True)
 
     PL, PM = restrict(L, jiL), restrict(M, jiM)
-    dnL = L.down()
+    dnL, covL, covM = L.down(), L.covers(), M.covers()
+    bottom = M.bottom()
     for phi in poset_isos(PL, PM):
         img = [0] * L.n
         ok = True
         seen = set()
         for x in range(L.n):
-            y = M.bottom()
+            y = bottom
             for k, j in enumerate(jiL):
                 if (dnL[x] >> j) & 1:
-                    y = int(M.join[y, jiM[phi[k]]])
+                    y = M.join(y, jiM[phi[k]])
             if y in seen:
                 ok = False
                 break
             seen.add(y)
             img[x] = y
-        if not ok:
-            continue
-        arr = np.array(img, dtype=np.int32)
-        if np.array_equal(arr[L.meet], M.meet[arr[:, None], arr[None, :]]) and np.array_equal(
-            arr[L.join], M.join[arr[:, None], arr[None, :]]
-        ):
+        if ok and all(sum(1 << img[y] for y in bits(covL[x])) == covM[img[x]] for x in range(L.n)):
             return img
     return None

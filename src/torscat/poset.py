@@ -45,16 +45,40 @@ def transitive_closure(masks):
     return out
 
 
+def unions(rows):
+    """Every union of a subfamily of ``rows`` (bitmasks), the empty union 0 included, as a set.
+
+    With reachability rows these are the successor-closed sets of a digraph,
+    with the principal down-sets of a preorder its down-sets.
+    """
+    rows = set(rows)
+    found = {0}
+    frontier = [0]
+    while frontier:
+        S = frontier.pop()
+        for r in rows:
+            T = S | r
+            if T not in found:
+                found.add(T)
+                frontier.append(T)
+    return found
+
+
 def covers_from_up(up):
-    """Hasse cover masks: cover[i] = {j : i < j, nothing strictly between}."""
-    n = len(up)
+    """Hasse cover masks: cover[i] = {j : i < j, nothing strictly between}.
+
+    The j above i that are dominated (above some other j' above i) are
+    skipped once seen: everything above them is above j' already.
+    """
+    strict = [u & ~(1 << i) for i, u in enumerate(up)]
     cov = []
-    for i in range(n):
-        strict = up[i] & ~(1 << i)
-        dominated = 0
-        for j in bits(strict):
-            dominated |= up[j] & ~(1 << j)
-        cov.append(strict & ~dominated)
+    for s in strict:
+        dominated, rest = 0, s
+        while rest:
+            low = rest & -rest
+            dominated |= strict[low.bit_length() - 1]
+            rest &= ~(dominated | low)
+        cov.append(s & ~dominated)
     return cov
 
 

@@ -47,7 +47,7 @@ from .lattice import (
     lattice_isomorphic,
 )
 from .linalg import Matrix, Subspace
-from .poset import Poset, bits, interval_poset, iter_ideal_masks, poset_isomorphic
+from .poset import bits, interval_poset, poset_isomorphic, transitive_closure, unions
 
 __all__ = [
     "TorsionError",
@@ -244,48 +244,6 @@ class ModuleContext:
             self._t[key] = all(sp.dim == d for sp, d in zip(tr, self.indecs[j].dims))
         return self._t[key]
 
-    def _cotrace_rows(self, j, i):
-        """Per-vertex stacked kernel constraints of all maps M_j -> M_i."""
-        key = ("cotr", j, i)
-        if key not in self._t:
-            self.hom_table()
-            H = self._t["hom_basis"].get((j, i), [])
-            nv = self.algebra.n_vertices
-            rows = []
-            for v in range(nv):
-                mats = [f.mats[v].a for f in H]
-                rows.append(
-                    np.vstack(mats) if mats else np.zeros((0, self.indecs[j].dims[v]), dtype=np.uint8)
-                )
-            self._t[key] = rows
-        return self._t[key]
-
-    def cogen_test(self, j, mask):
-        """Does M_j embed into a finite direct sum of members of mask?"""
-        key = ("cogen", j, mask & self.hom_out(j))
-        if key not in self._t:
-            relevant = mask & self.hom_out(j)
-            M = self.indecs[j]
-            p = self.algebra.p
-            nv = self.algebra.n_vertices
-            ok = True
-            for v in range(nv):
-                if M.dims[v] == 0:
-                    continue
-                mats = []
-                for i in bits(relevant):
-                    rows = self._cotrace_rows(j, i)
-                    if rows[v].shape[0]:
-                        mats.append(rows[v])
-                if not mats:
-                    ok = False
-                    break
-                if Matrix(np.vstack(mats), p).kernel().dim != 0:
-                    ok = False
-                    break
-            self._t[key] = ok
-        return self._t[key]
-
     # -- identification ---------------------------------------------------------
 
     def identify(self, module):
@@ -434,7 +392,8 @@ class ModuleContext:
         return self._closure_mask(mask, self.gen_test)
 
     def free_closure_mask(self, mask):
-        return self._closure_mask(mask, self.cogen_test)
+        """The smallest torsion-free class containing mask: the perp of its left perp."""
+        return self.perp_mask(self.left_perp_mask(mask))
 
     def filt_mask(self, mask):
         """The M_j filtered by members of mask: its closure under extensions."""
@@ -442,7 +401,7 @@ class ModuleContext:
 
     def _closure_mask(self, mask, test):
         """Grow ``mask`` until no M_j outside it passes ``test`` (generated
-        or cogenerated by the mask) or is an extension of two of its members."""
+        by the mask) or is an extension of two of its members."""
         cur = mask
         while True:
             new = cur
@@ -584,13 +543,18 @@ class TorsionPair:
 class TorsionLattice(FinLattice):
     __slots__ = ("pairs", "context")
 
-    def __init__(self, up, meet, join, labels, pairs, context):
-        super().__init__(up, meet, join, labels)
+    def __init__(self, up, labels, pairs, context):
+        super().__init__(up, labels)
         object.__setattr__(self, "pairs", tuple(pairs))
         object.__setattr__(self, "context", context)
 
     def mask_index(self):
         return {pr.tors_mask: i for i, pr in enumerate(self.pairs)}
+
+
+# On a complete indecomposable list the completeness certificates cannot
+# fail, so a failure points at the list.
+_INCOMPLETE = " (the indecomposable list may be incomplete: raise the dimension bound)"
 
 
 def _semibricks(hom, bricks):
@@ -643,8 +607,8 @@ def enumerate_torsion_pairs(
     the Hasse diagram of tors A is connected and 0 is in the family, no
     class is missing.  Meets are then intersections (``from_sets`` checks
     that each is a member) and the join of two classes is the closure of
-    their union, the least member containing it, so the join table needs
-    no certificate of its own.  All of this takes the indecomposable list
+    their union, the least member containing it, so joins need no
+    certificate of their own.  All of this takes the indecomposable list
     as complete; nothing here certifies the dimension bound.
 
     Raises BudgetExceeded if more than ``class_cap`` classes appear or the
@@ -692,12 +656,12 @@ def enumerate_torsion_pairs(
             filt[brick] = ctx.filt_mask(brick) if brick and not brick & (brick - 1) else None
         if label != filt[brick]:
             raise VerificationFailed(
-                "cover is not labelled by a single brick", {"a": masks[a], "b": masks[b]}
+                "cover is not labelled by a single brick" + _INCOMPLETE, {"a": masks[a], "b": masks[b]}
             )
     for a, d in enumerate(degree):
         if d != n:
-            raise VerificationFailed(f"class has {d} covers, not {n}", {"class": masks[a]})
-    return TorsionLattice(L.up, L.meet, L.join, labels, pairs, ctx)
+            raise VerificationFailed(f"class has {d} covers, not {n}" + _INCOMPLETE, {"class": masks[a]})
+    return TorsionLattice(L.up, labels, pairs, ctx)
 
 
 # -- predicates ----------------------------------------------------------------
@@ -827,86 +791,12 @@ def extension_middles(X, Y):
 # -- the omega lattice via simples ---------------------------------------------
 
 
-def _scc(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comps = []
-    counter = [0]
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            if pi < len(adj[v]):
-                work[-1] = (v, pi + 1)
-                w = adj[v][pi]
-                if index[w] == -1:
-                    work.append((w, 0))
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(sorted(comp))
-    return comps
-
-
 def successor_closed_masks(n, edges):
-    """All vertex subsets closed under out-edges, via the condensation poset."""
-    comps = _scc(n, edges)
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    k = len(comps)
-    creach = [1 << c for c in range(k)]
-    cadj = [set() for _ in range(k)]
+    """All vertex subsets closed under out-edges: the unions of reachability sets."""
+    adj = [0] * n
     for u, v in edges:
-        if comp_of[u] != comp_of[v]:
-            cadj[comp_of[u]].add(comp_of[v])
-    # reachability closure over the condensation DAG
-    order = list(range(k))
-    changed = True
-    while changed:
-        changed = False
-        for c in order:
-            acc = creach[c]
-            for d in cadj[c]:
-                acc |= creach[d]
-            if acc != creach[c]:
-                creach[c] = acc
-                changed = True
-    cond = Poset([",".join(map(str, comp)) for comp in comps], creach, _checked=True)
-    comp_mask = [sum(1 << v for v in comp) for comp in comps]
-    out = []
-    for ideal in iter_ideal_masks(cond.opposite()):
-        vm = 0
-        for c in bits(ideal):
-            vm |= comp_mask[c]
-        out.append(vm)
-    return sorted(out, key=lambda m: (bin(m).count("1"), m))
+        adj[u] |= 1 << v
+    return sorted(unions(transitive_closure(adj)), key=lambda m: (bin(m).count("1"), m))
 
 
 def omega_lattice_from_digraph(n, edges, labels=None):
@@ -964,7 +854,7 @@ def verify_dyck_omega_iso(n, via="simples", dim_bound=2):
         # the omega pairs must be closed under the ambient meet and join
         for a in omega_idx:
             for b in omega_idx:
-                if TL.meet[a, b] not in sub or TL.join[a, b] not in sub:
+                if TL.meet(a, b) not in sub or TL.join(a, b) not in sub:
                     raise VerificationFailed("omega pairs not a sublattice", {"n": n})
         OL = FinLattice.from_sets(
             [TL.pairs[i].tors_mask for i in omega_idx], [TL.labels[i] for i in omega_idx]

@@ -52,7 +52,7 @@ def test_dyck_meet_is_pointwise_min():
     L = dyck_lattice(3)
     zig = L.labels.index("UDUDUD")
     for x in range(L.n):
-        assert L.meet[zig, x] == zig
+        assert L.meet(zig, x) == zig
 
 
 def test_dyck_to_ideal_extremes():

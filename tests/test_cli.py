@@ -132,12 +132,20 @@ def test_cap_messages_are_pinned(capsys):
     assert code == 3 and out == "" and err.endswith(" classes (time budget)\n")
 
 
-def test_lattice_table_cap_exit_code(capsys):
-    # int:9 has 16,796 order ideals; their dense meet/join tables would take 2.3 GB
+def test_lattice_size_cap_exit_code(capsys):
+    # int:9 has 16,796 order ideals, past the cap on the pairwise intersection check
     code, out, err = run(capsys, "omega", "int:9")
     assert (code, out) == (3, "")
-    assert err == (
-        "limit exceeded: lattice of 16796 elements exceeds the cap of 8192 elements for dense meet/join tables\n"
+    assert err == "limit exceeded: lattice of 16796 elements exceeds the cap of 8192 elements\n"
+
+
+def test_incomplete_indecomposable_list_names_the_cause(capsys):
+    # dimension bound 1 finds 28 of the 35 indecomposables of int:3
+    code, out, err = run(capsys, "--dim-bound", "1", "tors", "int:3")
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "verification FAILED: class has 8 covers, not 6"
+        " (the indecomposable list may be incomplete: raise the dimension bound)\n"
     )
 
 

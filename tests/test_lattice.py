@@ -82,9 +82,16 @@ def corpus():
     return CORPUS
 
 
+def tables(L):
+    """Dense meet and join tables of L, read off its methods, for the sweep oracles."""
+    meet = np.array([[L.meet(a, b) for b in range(L.n)] for a in range(L.n)], dtype=np.int32)
+    join = np.array([[L.join(a, b) for b in range(L.n)] for a in range(L.n)], dtype=np.int32)
+    return meet, join
+
+
 def test_from_order_chain():
     L = chain(2)
-    assert L.meet[0, 1] == 0 and L.join[0, 1] == 1
+    assert L.meet(0, 1) == 0 and L.join(0, 1) == 1
 
 
 def test_from_order_rejects_non_lattice():
@@ -136,8 +143,13 @@ def test_from_sets_exhaustive_small_ground(ground, families):
         L = FinLattice.from_sets(masks, [str(m) for m in masks])
         leq = lambda a, b: masks[a] & ~masks[b] == 0
         assert L.up == tuple(sum(1 << b for b in range(n) if leq(a, b)) for a in range(n))
+        # b covers a iff the interval [a, b] is {a, b}
+        down = [sum(1 << c for c in range(n) if leq(c, b)) for b in range(n)]
+        assert L.covers() == tuple(
+            sum(1 << b for b in range(n) if b != a and L.up[a] & down[b] == 1 << a | 1 << b) for a in range(n)
+        )
         meet, join = brute_tables(n, leq)
-        assert L.meet.tolist() == meet and L.join.tolist() == join
+        assert [t.tolist() for t in tables(L)] == [meet, join]
         assert all(masks[meet[a][b]] == masks[a] & masks[b] for a in range(n) for b in range(n))
     assert count == families
 
@@ -145,7 +157,7 @@ def test_from_sets_exhaustive_small_ground(ground, families):
 def test_from_order_matches_brute_force_tables():
     for L in corpus():
         meet, join = brute_tables(L.n, L.leq)
-        assert L.meet.tolist() == meet and L.join.tolist() == join
+        assert [t.tolist() for t in tables(L)] == [meet, join]
 
 
 def test_from_sets_rejects_non_lattices():
@@ -174,7 +186,7 @@ def test_check_joins_are_unions():
 
 def sweep_is_distributive(L):
     """Oracle: a ^ (b v c) == (a ^ b) v (a ^ c) over every triple of the tables."""
-    M, J = L.meet, L.join
+    M, J = tables(L)
     for a in range(L.n):
         lhs = M[a][J]
         ma = M[a]
@@ -186,7 +198,7 @@ def sweep_is_distributive(L):
 
 def sweep_is_semidistributive(L):
     """Oracle: a v b == a v c implies a v (b ^ c) == a v b, and dually, over every triple."""
-    M, J = L.meet, L.join
+    M, J = tables(L)
     for a in range(L.n):
         ja = J[a]
         eq = ja[:, None] == ja[None, :]
@@ -300,8 +312,8 @@ def test_congruence_compatibility_invariant():
                     if not c.collapses(x, y):
                         continue
                     for z in range(L.n):
-                        assert c.collapses(L.meet[x, z], L.meet[y, z])
-                        assert c.collapses(L.join[x, z], L.join[y, z])
+                        assert c.collapses(L.meet(x, z), L.meet(y, z))
+                        assert c.collapses(L.join(x, z), L.join(y, z))
 
 
 def test_brute_force_oracle_matches_fixpoint():
@@ -474,8 +486,8 @@ def test_congruences_match_cover_pairs_on_catalan_lattices(build, ns):
         assert_congruences_match_cover_pairs(build(n))
 
 
-def test_congruence_lattice_of_dyck6_hits_table_cap():
-    # Dyck_6 has 2^15 congruences; their meet/join tables would take 8.6 GB
+def test_congruence_lattice_of_dyck6_hits_size_cap():
+    # Dyck_6 has 2^15 congruences, past the cap on the pairwise intersection check
     L = dyck_lattice(6)
     t0 = time.monotonic()
     with pytest.raises(LimitExceeded, match="lattice of 32768 elements exceeds the cap of 8192 elements"):
@@ -520,6 +532,18 @@ def test_lattice_isomorphic_basics():
     assert lattice_isomorphic(pentagon(), diamond()) is None
 
 
+def test_lattice_isomorphic_rejects_a_bijective_lift_that_is_no_isomorphism():
+    # both have 7 elements and the four atoms as join-irreducibles; the lift
+    # of a bijection of the atoms that keeps a and b inside {a, b, c} sends
+    # L's a v b = {a, b} to M's a v b = {a, b, c} and is a bijection, but a v b
+    # covers two atoms in L and three in M
+    atoms = [0b0001, 0b0010, 0b0100, 0b1000]
+    L = FinLattice.from_sets([0, *atoms, 0b0011, 0b1111], "0abcdxt")
+    M = FinLattice.from_sets([0, *atoms, 0b0111, 0b1111], "0abcdxt")
+    assert lattice_isomorphic(L, M) is None
+    assert lattice_isomorphic(M, M) is not None
+
+
 def test_lattice_isomorphic_verified_map():
     L = ideal_lattice(interval_poset(2))
     C = congruence_lattice(tamari_lattice(3))
@@ -527,8 +551,8 @@ def test_lattice_isomorphic_verified_map():
     assert m is not None
     for a in range(L.n):
         for b in range(L.n):
-            assert C.meet[m[a], m[b]] == m[L.meet[a, b]]
-            assert C.join[m[a], m[b]] == m[L.join[a, b]]
+            assert C.meet(m[a], m[b]) == m[L.meet(a, b)]
+            assert C.join(m[a], m[b]) == m[L.join(a, b)]
 
 
 def test_opposite_lattice():
@@ -542,7 +566,7 @@ def test_json_roundtrip():
     L = pentagon()
     blob = json.dumps(L.to_json())
     M = FinLattice.from_json(blob, labels=L.labels)
-    assert M.up == L.up and (M.meet == L.meet).all()
+    assert M.up == L.up and all(map(np.array_equal, tables(M), tables(L)))
 
 
 def test_dot_export():

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from torscat.torsion import (
     omega_lattice_from_digraph,
     omega_lattice_via_simples,
     perp,
+    successor_closed_masks,
     torsion_closure,
     torsion_lattice_report,
     torsion_lattice_to_dot,
@@ -66,6 +69,44 @@ def test_free_closure(example_ctx):
     fc = free_closure(Subcat(example_ctx, 1 << idx["P1"]))
     # P1 has submodule S2, so the smallest sub+ext closed class adds it
     assert "S2" in names_of(example_ctx, fc.mask)
+
+
+CLOSURE_ALGEBRAS = {
+    "example-F2": two_cycle_algebra,
+    "example-F3": lambda: two_cycle_algebra(p=3),
+    "An:4": lambda: path_algebra_An(4),
+    "int:2": lambda: incidence_algebra(interval_poset(2)),
+}
+
+
+@functools.cache
+def closure_lattice(name):
+    return enumerate_torsion_pairs(ModuleContext.for_algebra(CLOSURE_ALGEBRAS[name](), 2))
+
+
+def small_subsets(k):
+    """Every mask over range(k) with at most three members."""
+    return [sum(1 << i for i in c) for r in range(4) for c in itertools.combinations(range(k), r)]
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_ALGEBRAS))
+def test_free_closure_is_least_enumerated_free_class(name):
+    TL = closure_lattice(name)
+    ctx = TL.context
+    for S in small_subsets(ctx.k):
+        least = ctx.all_mask
+        for pr in TL.pairs:
+            if S & ~pr.free_mask == 0:
+                least &= pr.free_mask
+        assert ctx.free_closure_mask(S) == least, S
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_ALGEBRAS))
+def test_torsion_closure_is_left_perp_of_perp(name):
+    # generation and filtration reach T(S) = left perp of (S perp), which Hom alone decides
+    ctx = closure_lattice(name).context
+    for S in small_subsets(ctx.k):
+        assert ctx.torsion_closure_mask(S) == ctx.left_perp_mask(ctx.perp_mask(S)), S
 
 
 def test_perp_examples(example_ctx):
@@ -315,8 +356,8 @@ def test_omega_sets_sublattice(example_lattice, int2_lattice):
             keep = {i for i, pr in enumerate(TL.pairs) if is_omega_n(pr, n)}
             for a in keep:
                 for b in keep:
-                    assert int(TL.meet[a, b]) in keep
-                    assert int(TL.join[a, b]) in keep
+                    assert TL.meet(a, b) in keep
+                    assert TL.join(a, b) in keep
 
 
 def test_omega_divisibility(example_lattice):
@@ -364,6 +405,16 @@ def test_presentation_independence(example_ctx):
     L1 = omega_lattice_via_simples(A)
     L2 = omega_lattice_from_digraph(2, [(0, 1), (1, 0)])
     assert lattice_isomorphic(L1, L2) is not None
+
+
+def test_successor_closed_masks_match_brute_force():
+    # random digraphs, cycles and loops included, against every vertex subset
+    rng = random.Random(0)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9))]
+        closed = [S for S in range(1 << n) if all(S >> v & 1 for u, v in edges if S >> u & 1)]
+        assert successor_closed_masks(n, edges) == sorted(closed, key=lambda m: (bin(m).count("1"), m))
 
 
 def test_omega_engine_vs_simples(example_ctx, example_lattice, int2_ctx, int2_lattice):
