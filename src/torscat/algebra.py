@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-from collections import namedtuple
+from collections import deque, namedtuple
 
 import numpy as np
 
@@ -49,6 +48,11 @@ __all__ = [
     "min_resolution",
     "ext",
     "ext_via_injectives",
+    "ext1_space",
+    "extension_middle",
+    "tau",
+    "tau_inverse",
+    "almost_split_sequence",
     "decompose",
     "modules_isomorphic",
     "indecomposables",
@@ -761,7 +765,9 @@ class Module:
         while frontier:
             cur = frontier.pop()
             for cyc in cyclics:
-                new = tuple(a + b for a, b in zip(cur, cyc))
+                if all(b <= a for a, b in zip(cur, cyc)):
+                    continue
+                new = tuple(b if a.is_zero() else a if b.is_zero() else a + b for a, b in zip(cur, cyc))
                 if new not in found:
                     if len(found) >= cap:
                         raise LimitExceeded(f"submodule lattice exceeds the cap of {cap} submodules")
@@ -1265,7 +1271,7 @@ def decompose(M, search_cap=None):
     grouped = []
     for X in parts:
         for k, (rep, mult) in enumerate(grouped):
-            if X.dims == rep.dims and modules_isomorphic(X, rep) is not None:
+            if _isomorphic_indecomposables(X, rep):
                 grouped[k] = (rep, mult + 1)
                 break
         else:
@@ -1349,221 +1355,229 @@ def modules_isomorphic(M, N, search_cap=4096):
     return None
 
 
+# -- extensions and the Auslander-Reiten translate -------------------------------
+
+
+def ext1_space(X, Y):
+    """(cocycles, boundaries) whose quotient is Ext^1(X, Y).
+
+    Both are subspaces of Hom(F_1, Y) in generator coordinates, for the
+    minimal projective resolution F_2 -> F_1 -> F_0 -> X.
+    """
+    p = X.algebra.p
+    stages = _resolution_stages(X, 2)
+    (F0, _, _, _), (F1, d1, _, _), (F2, d2, _, _) = stages[:3]
+    dim1 = F1.hom_space_dim(Y)
+    if F1.is_zero() or Y.is_zero():
+        return Subspace.zero(dim1, p), Subspace.zero(dim1, p)
+    D2 = _delta_matrix(F2, F1, d2, Y) if not F2.is_zero() else Matrix.zeros(0, dim1, p)
+    cocycles = D2.kernel() if D2.rows else Subspace.full(dim1, p)
+    D1 = _delta_matrix(F1, F0, d1, Y)
+    boundaries = D1.image() if D1.cols else Subspace.zero(dim1, p)
+    return cocycles, boundaries
+
+
+def extension_middle(X, Y, cocycle):
+    """The middle term E of the extension 0 -> Y -> E -> X -> 0 of a cocycle.
+
+    ``cocycle`` is a vector of ``ext1_space(X, Y)``; E is the pushout
+    (Y + F_0)/{(g(z), -d_1(z))} of F_1 -> F_0 along the map g it defines.
+    """
+    p = X.algebra.p
+    stages = _resolution_stages(X, 1)
+    F0, (F1, d1, _, _) = stages[0][0], stages[1]
+    offs = np.cumsum([0] + [Y.dims[v] for v in F1.verts])
+    cocycle = np.asarray(cocycle, dtype=np.int64)
+    g = F1.map_from_generators(Y, [cocycle[offs[s] : offs[s + 1]] for s in range(len(F1.verts))])
+    relations = [
+        Matrix(np.vstack([g.mats[v].a, -d1.mats[v].a.astype(np.int64)]), p).image()
+        for v in range(X.algebra.n_vertices)
+    ]
+    return Y.direct_sum(F0.module).quotient(relations)[0]
+
+
+def _transpose(M):
+    """The Auslander-Bridger transpose Tr M, a module over the opposite algebra.
+
+    A minimal presentation F_1 -> F_0 -> M -> 0 is a matrix of algebra
+    elements: generator s of F_1 goes to a sum of c * k, k a basis element
+    in summand t of F_0.  Hom(-, A) turns it into F_0* -> F_1*, the same
+    entries read in the opposite algebra with s and t swapped, and Tr M is
+    its cokernel.  Tr M is zero exactly when M is projective.
+    """
+    (F0, _, _, _), (F1, d1, _, _) = _resolution_stages(M, 1)[:2]
+    op = M.algebra.opposite()
+    P0, P1 = op.free_module(F0.verts), op.free_module(F1.verts)
+    pos = [{sk: i for i, sk in enumerate(layout)} for layout in P1.layout]
+    gen_images = [np.zeros(P1.module.dims[v], dtype=np.int64) for v in F0.verts]
+    for s, v in enumerate(F1.verts):
+        for c, (t, k) in zip(d1.mats[v].a[:, F1.gen_coord[s]], F0.layout[v]):
+            gen_images[t][pos[F0.verts[t]][(s, k)]] = c
+    image = P0.map_from_generators(P1.module, gen_images).image_subspaces()
+    return P1.module.quotient(image)[0]
+
+
+def tau(M):
+    """The Auslander-Reiten translate D Tr M (zero when M is projective)."""
+    return _transpose(M).dual()
+
+
+def tau_inverse(M):
+    """The inverse translate Tr D M (zero when M is injective)."""
+    return _transpose(M.dual())
+
+
+def _scalar_power(f, q):
+    """The c with f^q = c * id on every vertex, or None."""
+    p = f.source.algebra.p
+    c = None
+    for m in f.mats:
+        if not m.rows:
+            continue
+        r, base, e = np.eye(m.rows, dtype=np.int64), m.a.astype(np.int64), q
+        while e:
+            if e & 1:
+                r = (r @ base) % p
+            base = (base @ base) % p
+            e >>= 1
+        c = int(r[0, 0]) if c is None else c
+        if not np.array_equal(r, c * np.eye(m.rows, dtype=np.int64)):
+            return None
+    return c
+
+
+def almost_split_sequence(X):
+    """(E, Z) for the almost split sequence 0 -> X -> E -> Z -> 0, or None.
+
+    X is indecomposable; None means X is injective.  Z = tau^{-1} X, and
+    the sequence is the class of Ext^1(Z, X) in the socle of Ext^1 as an
+    End(X)-module (postcomposition).  rad End(X) is spanned by the f - c id
+    with f^q = c id for q = p^s >= dim X, since End(X) is local with residue
+    field F_p; when X is a brick every nonzero class is in the socle.
+    """
+    Z = tau_inverse(X)
+    if Z.is_zero():
+        return None
+    return _almost_split_middle(X, Z), Z
+
+
+def _almost_split_middle(X, Z):
+    """The middle term of the class of Ext^1(Z, X) in its End(X)-socle."""
+    p = X.algebra.p
+    cocycles, boundaries = ext1_space(Z, X)
+    C = cocycles.basis.astype(np.int64)
+    ends = hom(X, X)
+    if len(ends) > 1:
+        q = p
+        while q < X.total_dim:
+            q *= p
+        F1 = _resolution_stages(Z, 1)[1][0]
+        offs = np.cumsum([0] + [X.dims[v] for v in F1.verts])
+        Q = Matrix(boundaries.basis, p).kernel().basis.astype(np.int64)  # Q x = 0 iff x is a boundary
+        conds = []
+        for f in ends:
+            c = _scalar_power(f, q)
+            if c is None:
+                raise AlgebraError(f"End of the module with dimension vector {X.dims} is not local over F_p")
+            # f - c id in rad End(X) postcomposes each generator's image of a cocycle
+            radC = [
+                (f.mats[v].a.astype(np.int64) - c * np.eye(X.dims[v], dtype=np.int64)) @ C[:, offs[s] : offs[s + 1]].T
+                for s, v in enumerate(F1.verts)
+            ]
+            conds.append(Q @ np.vstack(radC))
+        C = Matrix(np.vstack(conds) % p, p).kernel().basis.astype(np.int64) @ C % p
+    for xi in C:
+        if not boundaries.contains_vector(xi):
+            return extension_middle(Z, X, xi)
+    raise AlgebraError(f"Ext^1(tau^-1 X, X) has no socle class for X of dimension vector {X.dims}")
+
+
 # -- enumeration of indecomposables -------------------------------------------
 
 
-def _all_mats(rows, cols, p):
-    """All rows x cols matrices over F_p as uint8 arrays, indexed row-major base p."""
-    count = p ** (rows * cols)
-    out = []
-    for enc in range(count):
-        digits = []
-        x = enc
-        for _ in range(rows * cols):
-            digits.append(x % p)
-            x //= p
-        out.append(np.array(digits, dtype=np.uint8).reshape(rows, cols))
-    return out
+def _isomorphic_indecomposables(X, Y):
+    """Whether indecomposables X and Y are isomorphic, without a search.
 
-
-def _gl_order(d, p):
-    """|GL_d(F_p)| = prod_{i<d} (p^d - p^i), known before any table is built."""
-    return math.prod(p**d - p**i for i in range(d))
-
-
-def _gl_data(d, p):
-    """(indices of invertible matrices, inverse-index array) for d x d over F_p."""
-    mats = _all_mats(d, d, p)
-    gl = [enc for enc, m in enumerate(mats) if Matrix(m, p).rank() == d]
-    pos = {enc: i for i, enc in enumerate(gl)}
-    eye = Matrix.identity(d, p)
-    inv_idx = [pos[_encode(solve(Matrix(mats[enc], p), eye).a, p)] for enc in gl]
-    return gl, np.array(inv_idx, dtype=np.int32), mats
-
-
-def _encode(mat, p):
-    flat = mat.reshape(-1)
-    enc = 0
-    for x in reversed(flat.tolist()):
-        enc = enc * p + int(x)
-    return enc
-
-
-ORBIT_TABLE_CAP = 4_000_000  # entries of one int32 action table, 16 MB
-
-
-class _OrbitTables:
-    """Cached GL lists and action tables g_v * C * g_u^{-1} per (d_v, d_u)."""
-
-    def __init__(self, p):
-        self.p = p
-        self.gl = {}
-        self.act = {}
-
-    def gl_of(self, d):
-        if d not in self.gl:
-            self.gl[d] = _gl_data(d, self.p)
-        return self.gl[d]
-
-    def act_of(self, dv, du):
-        key = (dv, du)
-        if key not in self.act:
-            glv, _, matsv = self.gl_of(dv)
-            glu, _, matsu = self.gl_of(du)
-            cands = _all_mats(dv, du, self.p)
-            size = len(glv) * len(cands) * len(glu)
-            if size > ORBIT_TABLE_CAP:
-                raise LimitExceeded(
-                    f"orbit table of {size} entries exceeds the cap of {ORBIT_TABLE_CAP}; "
-                    "lower the dimension bound or the field size"
-                )
-            # index hi plays the role of g_u^{-1}: tables are consulted with
-            # the inverse index so the action is g_v C g_u^{-1}
-            C = np.array(cands, dtype=np.int64)
-            H = np.array([matsu[henc] for henc in glu], dtype=np.int64)
-            digits = self.p ** np.arange(dv * du, dtype=np.int64)  # the base-p code of _encode
-            table = np.zeros((len(glv), len(cands), len(glu)), dtype=np.int32)
-            for gi, genc in enumerate(glv):
-                gc = (matsv[genc].astype(np.int64) @ C) % self.p
-                prod = (gc[:, None] @ H[None]) % self.p
-                table[gi] = prod.reshape(len(cands), len(glu), -1) @ digits
-            self.act[key] = table
-        return self.act[key]
-
-
-def _connected_support(dvec, adj):
-    support = [v for v, d in enumerate(dvec) if d > 0]
-    if not support:
+    If phi: X -> Y is an isomorphism, phi^-1 f lies in the local ring End(X)
+    for every f in Hom(X, Y); were no basis element f bijective, all of
+    phi^-1 Hom(X, Y) would lie in rad End(X), yet it holds the identity.
+    """
+    if X.dims != Y.dims:
         return False
-    seen = {support[0]}
-    stack = [support[0]]
-    sup = set(support)
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w in sup and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == sup
+    return any(all(m.rank() == d for m, d in zip(f.mats, X.dims)) for f in hom(X, Y))
 
 
-def indecomposables(A, dim_bound=2, group_cap=2_000_000):
-    """All indecomposable modules with per-vertex dimension <= dim_bound.
+def _radical_summands(P):
+    return [M for M, _ in decompose(P.sub(P.radical())[0])]
 
-    Per dimension vector, representation tuples are enumerated one arrow at
-    a time up to simultaneous base change: candidates for each arrow are
-    reduced to orbit representatives under the stabiliser of the partial
-    assignment, so each isomorphism class appears exactly once; the
-    indecomposable ones are kept (Fitting test).
+
+def indecomposables(A, dim_bound=2):
+    """Every indecomposable module, by knitting the Auslander-Reiten quiver.
+
+    The seeds are every P(v) and I(v) and the summands of every rad P(v)
+    and I(v)/soc I(v).  The list is closed under tau^-1 = Tr D of each
+    non-injective X, tau = D Tr of each non-projective Y, and the summands
+    of the middle term of each almost split sequence 0 -> X -> E ->
+    tau^-1 X -> 0.  It therefore holds both ends of every irreducible map
+    M -> N with one end in it.  If N is in it, M is a summand of the middle
+    term starting at tau N, or of rad N when N is projective.  If M is in
+    it, N is a summand of the middle term starting at M; if M is injective,
+    N is projective (a seed) or tau^-1 of tau N, a summand of the middle
+    term ending at M or of rad M.  So the list, a finite set, is a union of
+    components of the Auslander-Reiten quiver holding every projective.  By
+    Auslander's theorem (1974) a finite component of the AR quiver of a
+    connected algebra is the whole quiver, so the list holds every
+    indecomposable of every block.
+
+    The first indecomposable with more than ``dim_bound`` dimensions at a
+    vertex raises LimitExceeded, so a returned list is certified complete;
+    for a representation-infinite algebra the closure passes every bound.
+    Modules of one dimension vector are told apart by
+    ``_isomorphic_indecomposables``, a test that needs no search.  The list
+    is sorted by total dimension, dimension vector and the ranks of the
+    arrow matrices, none of which depends on a basis.
     """
     key = ("indecs", dim_bound)
     if key in A._cache:
         return A._cache[key]
-    p = A.p
-    nv = A.n_vertices
-    tables = _OrbitTables(p)
-    adj = [set() for _ in range(nv)]
-    for a in A.arrows:
-        adj[a.src].add(a.tgt)
-        adj[a.tgt].add(a.src)
+    op = A.opposite()
+    found = {}  # dimension vector -> the modules found with it
+    queue = deque()
 
-    found = []
-    for dvec in itertools.product(range(dim_bound + 1), repeat=nv):
-        if not _connected_support(dvec, adj):
-            continue
-        found.extend(_indecs_for_dimvec(A, dvec, tables, group_cap))
-    found.sort(key=lambda m: (m.total_dim, m.dims, m.key()))
-    A._cache[key] = found
-    return found
+    def push(M, tau_M=None, tau_inverse_M=None):
+        if max(M.dims) > dim_bound:
+            raise LimitExceeded(
+                f"an indecomposable with dimension vector {list(M.dims)} exceeds the dimension bound {dim_bound}"
+            )
+        same = found.setdefault(M.dims, [])
+        if not any(_isomorphic_indecomposables(M, N) for N in same):
+            same.append(M)
+            queue.append((M, tau_M, tau_inverse_M))
 
-
-def _indecs_for_dimvec(A, dvec, tables, group_cap):
-    p = A.p
-    nv = A.n_vertices
-    arrows = list(enumerate(A.arrows))
-    # big matrix spaces first: stabilisers shrink fastest
-    arrows.sort(key=lambda ia: (-(dvec[ia[1].src] * dvec[ia[1].tgt]), ia[0]))
-    order = [ia[0] for ia in arrows]
-
-    # relations become checkable once all their arrows are placed
-    place_of = {ai: pos for pos, ai in enumerate(order)}
-    rel_ready = [[] for _ in range(len(order) + 1)]
-    for rel in A.relations:
-        used = {ai for _, path in rel for ai in path}
-        live = {ai for ai in used if dvec[A.arrows[ai].src] and dvec[A.arrows[ai].tgt]}
-        when = max((place_of[ai] + 1 for ai in live), default=0)
-        rel_ready[when].append(rel)
-
-    gl_sizes = [_gl_order(d, p) for d in dvec]
-    total = math.prod(gl_sizes)
-    if total > group_cap:
-        raise LimitExceeded(
-            f"base-change group of size {total} exceeds the search cap of {group_cap}; "
-            "lower the dimension bound or the field size"
-        )
-    grid = np.indices(gl_sizes).reshape(nv, -1).T.astype(np.int32)  # (|G|, nv)
-
-    all_mats_cache = {}
-
-    def mats_for(dv, du):
-        if (dv, du) not in all_mats_cache:
-            all_mats_cache[(dv, du)] = _all_mats(dv, du, p)
-        return all_mats_cache[(dv, du)]
-
-    results = []
-
-    def check_relations(assigned, upto):
-        for rel in rel_ready[upto]:
-            s = A.arrows[rel[0][1][0]].src
-            t = A.arrows[rel[0][1][-1]].tgt
-            acc = np.zeros((dvec[t], dvec[s]), dtype=np.int64)
-            for coeff, path in rel:
-                cur = np.eye(dvec[s], dtype=np.int64)
-                for ai in path:
-                    arr = A.arrows[ai]
-                    m = assigned.get(ai)
-                    if m is None:
-                        m = np.zeros((dvec[arr.tgt], dvec[arr.src]), dtype=np.int64)
-                    cur = (m @ cur) % p
-                acc += coeff * cur
-            if (acc % p).any():
-                return False
-        return True
-
-    def rec(pos, assigned, H):
-        if pos == len(order):
-            mats = []
-            for ai, a in enumerate(A.arrows):
-                m = assigned.get(ai)
-                if m is None:
-                    m = np.zeros((dvec[a.tgt], dvec[a.src]), dtype=np.uint8)
-                mats.append(Matrix(m, p))
-            M = Module(A, dvec, mats, check=False)
-            if is_indecomposable(M):
-                results.append(M)
-            return
-        ai = order[pos]
-        a = A.arrows[ai]
-        du, dv = dvec[a.src], dvec[a.tgt]
-        if du == 0 or dv == 0:
-            if check_relations(assigned, pos + 1):
-                rec(pos + 1, assigned, H)
-            return
-        act = tables.act_of(dv, du)
-        _, inv_u, _ = tables.gl_of(du)
-        gv_col = H[:, a.tgt]
-        gu_col = inv_u[H[:, a.src]]
-        cands = mats_for(dv, du)
-        seen = np.zeros(len(cands), dtype=bool)
-        for c in range(len(cands)):
-            if seen[c]:
-                continue
-            images = act[gv_col, c, gu_col]
-            seen[np.unique(images)] = True
-            assigned[ai] = cands[c].astype(np.int64)
-            if check_relations(assigned, pos + 1):
-                rec(pos + 1, assigned, H[images == c])
-            del assigned[ai]
-
-    rec(0, {}, grid)
-    return results
+    zero = Module.zero(A)
+    for v in range(A.n_vertices):
+        push(A.projective(v), tau_M=zero)
+        push(A.injective(v), tau_inverse_M=zero)
+    for v in range(A.n_vertices):
+        for M in _radical_summands(A.projective(v)):
+            push(M)
+        for M in _radical_summands(op.projective(v)):  # I(v)/soc I(v) = D rad P_op(v)
+            push(M.dual())
+    while queue:
+        X, tau_X, tau_inverse_X = queue.popleft()
+        Z = tau_inverse(X) if tau_inverse_X is None else tau_inverse_X
+        if not Z.is_zero():
+            if tau_inverse_X is None:
+                push(Z, tau_M=X)
+            for M, _ in decompose(_almost_split_middle(X, Z)):
+                push(M)
+        if tau_X is None:
+            Y = tau(X)
+            if not Y.is_zero():
+                push(Y, tau_inverse_M=X)
+    out = sorted(
+        (M for same in found.values() for M in same),
+        key=lambda M: (M.total_dim, M.dims, tuple(m.rank() for m in M.mats)),
+    )
+    A._cache[key] = out
+    return out

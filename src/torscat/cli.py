@@ -274,7 +274,8 @@ def _add_common(parser, suppress):
     parser.add_argument("--field", type=int, default=default(2), metavar="P",
                         help="prime field characteristic (default 2)")
     parser.add_argument("--dim-bound", type=int, default=default(2), metavar="K",
-                        help="per-vertex dimension bound for indecomposables")
+                        help="per-vertex dimension bound for indecomposables; a larger "
+                             "indecomposable stops the run with exit 3")
     parser.add_argument("--budget", type=float, default=default(None), metavar="S",
                         help="time budget in seconds for enumerations")
     parser.add_argument("--cap", type=int, default=default(2000), metavar="M",

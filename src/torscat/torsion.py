@@ -21,12 +21,12 @@ import time
 import numpy as np
 
 from .algebra import (
-    ModuleMap,
     decompose,
     ext,
+    ext1_space,
+    extension_middle,
     hom,
     injective_envelope,
-    min_resolution,
     modules_isomorphic,
     projective_cover,
     syzygy,
@@ -46,7 +46,7 @@ from .lattice import (
     forcing_poset,
     lattice_isomorphic,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 from .poset import bits, interval_poset, poset_isomorphic, transitive_closure, unions
 
 __all__ = [
@@ -249,9 +249,8 @@ class ModuleContext:
     def identify(self, module):
         """Iso types of the indecomposable summands, as ((index, mult), ...).
 
-        Raises UnknownIndecomposable if a summand is not in the stored list;
-        that means the list was not closed under the requested construction
-        (dimension bound too small or representation-infinite input).
+        Raises UnknownIndecomposable if a summand is not in the stored list,
+        which can happen only for a list not made by ``indecomposables``.
         """
         if module.is_zero():
             return ()
@@ -553,8 +552,9 @@ class TorsionLattice(FinLattice):
 
 
 # On a complete indecomposable list the completeness certificates cannot
-# fail, so a failure points at the list.
-_INCOMPLETE = " (the indecomposable list may be incomplete: raise the dimension bound)"
+# fail, so a failure points at the list.  ``indecomposables`` returns only
+# complete lists; a context built from a list of its own may not be.
+_INCOMPLETE = " (the indecomposable list may be incomplete)"
 
 
 def _semibricks(hom, bricks):
@@ -609,7 +609,7 @@ def enumerate_torsion_pairs(
     that each is a member) and the join of two classes is the closure of
     their union, the least member containing it, so joins need no
     certificate of their own.  All of this takes the indecomposable list
-    as complete; nothing here certifies the dimension bound.
+    as complete, which ``indecomposables`` certifies.
 
     Raises BudgetExceeded if more than ``class_cap`` classes appear or the
     time budget (seconds) runs out.
@@ -736,56 +736,23 @@ def is_serre(ctx, mask):
 def extension_middles(X, Y):
     """Middle terms of all nonzero classes in Ext^1(X, Y), built from cocycles.
 
-    Each class gives the pushout (Y + F0)/{(g(z), -d1(z))} of the start of a
-    minimal projective resolution of X along the cocycle g.
+    Each class is a nonzero combination of coset representatives of the
+    cocycles modulo the boundaries (``ext1_space``); ``extension_middle``
+    builds its pushout.
     """
-    from .algebra import _delta_matrix
-
+    cocycles, boundaries = ext1_space(X, Y)
     p = X.algebra.p
-    res = min_resolution(X, 2)
-    F0, F1, F2 = res.frees
-    d1, d2 = res.diffs
-    if F1.is_zero() or Y.is_zero():
-        return []
-    dim1 = F1.hom_space_dim(Y)
-    # delta matrices act on generator coordinates: cocycles = ker(. composed with d2)
-    D2 = _delta_matrix(F2, F1, d2, Y) if not F2.is_zero() else Matrix.zeros(0, dim1, p)
-    cocycles = D2.kernel() if D2.rows else Subspace.full(dim1, p)
-    D1 = _delta_matrix(F1, F0, d1, Y)
-    boundaries = D1.image() if D1.cols else Subspace.zero(dim1, p)
-    # coset representatives of cocycles modulo boundaries
     reps = []
     span = boundaries
     for row in cocycles.basis:
         if not span.contains_vector(row):
-            reps.append(row)
-            span = span + Subspace.from_rows([row], dim1, p)
-    middles = []
-    if not reps:
-        return middles
-    Ysum = Y.direct_sum(F0.module)
-    nv = X.algebra.n_vertices
-    for coeffs in itertools.product(range(p), repeat=len(reps)):
-        if not any(coeffs):
-            continue
-        vec = np.zeros(dim1, dtype=np.int64)
-        for c, row in zip(coeffs, reps):
-            vec += c * row.astype(np.int64)
-        vec %= p
-        # unpack generator coordinates into images
-        sizes = [Y.dims[v] for v in F1.verts]
-        offs = np.cumsum([0] + sizes)
-        gen_images = [vec[offs[s] : offs[s + 1]].astype(np.uint8) for s in range(len(F1.verts))]
-        g = F1.map_from_generators(Y, gen_images)
-        phi_mats = []
-        for v in range(nv):
-            top = g.mats[v].a.astype(np.int64)
-            bot = (-d1.mats[v].a.astype(np.int64)) % p
-            phi_mats.append(Matrix(np.vstack([top, bot]), p))
-        phi = ModuleMap(F1.module, Ysum, phi_mats, check=False)
-        E, _ = Ysum.quotient(phi.image_subspaces())
-        middles.append(E)
-    return middles
+            reps.append(row.astype(np.int64))
+            span = span + Subspace.from_rows([row], cocycles.ambient, p)
+    return [
+        extension_middle(X, Y, sum(c * row for c, row in zip(coeffs, reps)) % p)
+        for coeffs in itertools.product(range(p), repeat=len(reps))
+        if any(coeffs)
+    ]
 
 
 # -- the omega lattice via simples ---------------------------------------------

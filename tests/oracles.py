@@ -1,4 +1,4 @@
-"""Reference routes that the fast torsion code is checked against.
+"""Reference routes that the fast code is checked against.
 
 ``RrefTorsion`` computes torsion classes the way the package did before it
 enumerated semibricks: a trace is row-reduced from the stacked images of a
@@ -8,12 +8,21 @@ and the classes are found by breadth-first joins from the principal ones.
 It shares no trace, submodule or closure code with ``ModuleContext``; it
 uses only ``hom``, ``Module.all_submodules``/``sub``/``quotient`` and the
 context's ``identify_mask``.
+
+``orbit_indecomposables`` lists the indecomposables the way the package did
+before it knitted the Auslander-Reiten quiver: per dimension vector up to a
+bound, an orbit search over the base-change groups GL_d(F_p), keeping the
+representatives that pass the Fitting test.  Its cost grows like p^(d^2),
+so it is capped, and its list is complete only up to the bound.
 """
+
+import itertools
+import math
 
 import numpy as np
 
-from torscat.algebra import hom
-from torscat.linalg import Subspace
+from torscat.algebra import LimitExceeded, Module, hom, is_indecomposable
+from torscat.linalg import Matrix, Subspace, solve
 from torscat.poset import bits
 
 
@@ -79,3 +88,219 @@ class RrefTorsion:
                     found.add(j)
                     frontier.append(j)
         return found
+
+
+# -- indecomposables by orbit search ---------------------------------------------
+
+
+def _all_mats(rows, cols, p):
+    """All rows x cols matrices over F_p as uint8 arrays, indexed row-major base p."""
+    count = p ** (rows * cols)
+    out = []
+    for enc in range(count):
+        digits = []
+        x = enc
+        for _ in range(rows * cols):
+            digits.append(x % p)
+            x //= p
+        out.append(np.array(digits, dtype=np.uint8).reshape(rows, cols))
+    return out
+
+
+def _gl_order(d, p):
+    """|GL_d(F_p)| = prod_{i<d} (p^d - p^i), known before any table is built."""
+    return math.prod(p**d - p**i for i in range(d))
+
+
+def _gl_data(d, p):
+    """(indices of invertible matrices, inverse-index array) for d x d over F_p."""
+    mats = _all_mats(d, d, p)
+    gl = [enc for enc, m in enumerate(mats) if Matrix(m, p).rank() == d]
+    pos = {enc: i for i, enc in enumerate(gl)}
+    eye = Matrix.identity(d, p)
+    inv_idx = [pos[_encode(solve(Matrix(mats[enc], p), eye).a, p)] for enc in gl]
+    return gl, np.array(inv_idx, dtype=np.int32), mats
+
+
+def _encode(mat, p):
+    flat = mat.reshape(-1)
+    enc = 0
+    for x in reversed(flat.tolist()):
+        enc = enc * p + int(x)
+    return enc
+
+
+ORBIT_TABLE_CAP = 4_000_000  # entries of one int32 action table, 16 MB
+
+
+class _OrbitTables:
+    """Cached GL lists and action tables g_v * C * g_u^{-1} per (d_v, d_u)."""
+
+    def __init__(self, p):
+        self.p = p
+        self.gl = {}
+        self.act = {}
+
+    def gl_of(self, d):
+        if d not in self.gl:
+            self.gl[d] = _gl_data(d, self.p)
+        return self.gl[d]
+
+    def act_of(self, dv, du):
+        key = (dv, du)
+        if key not in self.act:
+            glv, _, matsv = self.gl_of(dv)
+            glu, _, matsu = self.gl_of(du)
+            cands = _all_mats(dv, du, self.p)
+            size = len(glv) * len(cands) * len(glu)
+            if size > ORBIT_TABLE_CAP:
+                raise LimitExceeded(
+                    f"orbit table of {size} entries exceeds the cap of {ORBIT_TABLE_CAP}; "
+                    "lower the dimension bound or the field size"
+                )
+            # index hi plays the role of g_u^{-1}: tables are consulted with
+            # the inverse index so the action is g_v C g_u^{-1}
+            C = np.array(cands, dtype=np.int64)
+            H = np.array([matsu[henc] for henc in glu], dtype=np.int64)
+            digits = self.p ** np.arange(dv * du, dtype=np.int64)  # the base-p code of _encode
+            table = np.zeros((len(glv), len(cands), len(glu)), dtype=np.int32)
+            for gi, genc in enumerate(glv):
+                gc = (matsv[genc].astype(np.int64) @ C) % self.p
+                prod = (gc[:, None] @ H[None]) % self.p
+                table[gi] = prod.reshape(len(cands), len(glu), -1) @ digits
+            self.act[key] = table
+        return self.act[key]
+
+
+def _connected_support(dvec, adj):
+    support = [v for v, d in enumerate(dvec) if d > 0]
+    if not support:
+        return False
+    seen = {support[0]}
+    stack = [support[0]]
+    sup = set(support)
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w in sup and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == sup
+
+
+def orbit_indecomposables(A, dim_bound=2, group_cap=2_000_000):
+    """All indecomposable modules with per-vertex dimension <= dim_bound.
+
+    Per dimension vector, representation tuples are enumerated one arrow at
+    a time up to simultaneous base change: candidates for each arrow are
+    reduced to orbit representatives under the stabiliser of the partial
+    assignment, so each isomorphism class appears exactly once; the
+    indecomposable ones are kept (Fitting test).
+    """
+    p = A.p
+    nv = A.n_vertices
+    tables = _OrbitTables(p)
+    adj = [set() for _ in range(nv)]
+    for a in A.arrows:
+        adj[a.src].add(a.tgt)
+        adj[a.tgt].add(a.src)
+
+    found = []
+    for dvec in itertools.product(range(dim_bound + 1), repeat=nv):
+        if not _connected_support(dvec, adj):
+            continue
+        found.extend(_indecs_for_dimvec(A, dvec, tables, group_cap))
+    found.sort(key=lambda m: (m.total_dim, m.dims, m.key()))
+    return found
+
+
+def _indecs_for_dimvec(A, dvec, tables, group_cap):
+    p = A.p
+    nv = A.n_vertices
+    arrows = list(enumerate(A.arrows))
+    # big matrix spaces first: stabilisers shrink fastest
+    arrows.sort(key=lambda ia: (-(dvec[ia[1].src] * dvec[ia[1].tgt]), ia[0]))
+    order = [ia[0] for ia in arrows]
+
+    # relations become checkable once all their arrows are placed
+    place_of = {ai: pos for pos, ai in enumerate(order)}
+    rel_ready = [[] for _ in range(len(order) + 1)]
+    for rel in A.relations:
+        used = {ai for _, path in rel for ai in path}
+        live = {ai for ai in used if dvec[A.arrows[ai].src] and dvec[A.arrows[ai].tgt]}
+        when = max((place_of[ai] + 1 for ai in live), default=0)
+        rel_ready[when].append(rel)
+
+    gl_sizes = [_gl_order(d, p) for d in dvec]
+    total = math.prod(gl_sizes)
+    if total > group_cap:
+        raise LimitExceeded(
+            f"base-change group of size {total} exceeds the search cap of {group_cap}; "
+            "lower the dimension bound or the field size"
+        )
+    grid = np.indices(gl_sizes).reshape(nv, -1).T.astype(np.int32)  # (|G|, nv)
+
+    all_mats_cache = {}
+
+    def mats_for(dv, du):
+        if (dv, du) not in all_mats_cache:
+            all_mats_cache[(dv, du)] = _all_mats(dv, du, p)
+        return all_mats_cache[(dv, du)]
+
+    results = []
+
+    def check_relations(assigned, upto):
+        for rel in rel_ready[upto]:
+            s = A.arrows[rel[0][1][0]].src
+            t = A.arrows[rel[0][1][-1]].tgt
+            acc = np.zeros((dvec[t], dvec[s]), dtype=np.int64)
+            for coeff, path in rel:
+                cur = np.eye(dvec[s], dtype=np.int64)
+                for ai in path:
+                    arr = A.arrows[ai]
+                    m = assigned.get(ai)
+                    if m is None:
+                        m = np.zeros((dvec[arr.tgt], dvec[arr.src]), dtype=np.int64)
+                    cur = (m @ cur) % p
+                acc += coeff * cur
+            if (acc % p).any():
+                return False
+        return True
+
+    def rec(pos, assigned, H):
+        if pos == len(order):
+            mats = []
+            for ai, a in enumerate(A.arrows):
+                m = assigned.get(ai)
+                if m is None:
+                    m = np.zeros((dvec[a.tgt], dvec[a.src]), dtype=np.uint8)
+                mats.append(Matrix(m, p))
+            M = Module(A, dvec, mats, check=False)
+            if is_indecomposable(M):
+                results.append(M)
+            return
+        ai = order[pos]
+        a = A.arrows[ai]
+        du, dv = dvec[a.src], dvec[a.tgt]
+        if du == 0 or dv == 0:
+            if check_relations(assigned, pos + 1):
+                rec(pos + 1, assigned, H)
+            return
+        act = tables.act_of(dv, du)
+        _, inv_u, _ = tables.gl_of(du)
+        gv_col = H[:, a.tgt]
+        gu_col = inv_u[H[:, a.src]]
+        cands = mats_for(dv, du)
+        seen = np.zeros(len(cands), dtype=bool)
+        for c in range(len(cands)):
+            if seen[c]:
+                continue
+            images = act[gv_col, c, gu_col]
+            seen[np.unique(images)] = True
+            assigned[ai] = cands[c].astype(np.int64)
+            if check_relations(assigned, pos + 1):
+                rec(pos + 1, assigned, H[images == c])
+            del assigned[ai]
+
+    rec(0, {}, grid)
+    return results

@@ -2,10 +2,10 @@ import functools
 import itertools
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torscat import algebra
 from torscat.algebra import (
     Algebra,
     AlgebraError,
@@ -13,6 +13,7 @@ from torscat.algebra import (
     LimitExceeded,
     Module,
     ZeroModule,
+    almost_split_sequence,
     cosyzygy,
     decompose,
     ext,
@@ -28,10 +29,11 @@ from torscat.algebra import (
     path_algebra_An,
     projective_cover,
     syzygy,
+    tau,
+    tau_inverse,
     two_cycle_algebra,
-    _OrbitTables,
 )
-from torscat.linalg import Matrix
+from torscat.linalg import Matrix, Subspace
 from torscat.poset import Poset, interval_poset
 
 
@@ -427,33 +429,54 @@ def test_submodule_cap_raises_limit(mods):
         big.all_submodules(cap=4)
 
 
+def test_submodules_match_subspace_search():
+    # every family of per-vertex subspaces closed under the arrows, by brute force
+    for A in (two_cycle_algebra(p=3), incidence_algebra(interval_poset(2))):
+        for M in indecomposables(A, 2) + [A.projective(0).direct_sum(A.simple(0))]:
+            per_vertex = [
+                {Subspace.from_rows(rows, d, A.p) for k in range(d + 1)
+                 for rows in itertools.combinations(itertools.product(range(A.p), repeat=d), k)}
+                for d in M.dims
+            ]
+            closed = {
+                subs for subs in itertools.product(*per_vertex)
+                if all(all(subs[a.tgt].contains_vector(m.a.astype(np.int64) @ row % A.p)
+                           for row in subs[a.src].basis) for a, m in zip(A.arrows, M.mats))
+            }
+            got = M.all_submodules()
+            assert len(got) == len(set(got)) and set(got) == closed
+
+
+# -- the orbit-search oracle ------------------------------------------------------
+
+
 def test_orbit_table_cap_raises_limit(monkeypatch):
-    monkeypatch.setattr(algebra, "ORBIT_TABLE_CAP", 576)  # |GL_2(F_2)| * 2^4 * |GL_2(F_2)|
-    assert _OrbitTables(2).act_of(2, 2).shape == (6, 16, 6)
-    monkeypatch.setattr(algebra, "ORBIT_TABLE_CAP", 575)
+    monkeypatch.setattr(oracles, "ORBIT_TABLE_CAP", 576)  # |GL_2(F_2)| * 2^4 * |GL_2(F_2)|
+    assert oracles._OrbitTables(2).act_of(2, 2).shape == (6, 16, 6)
+    monkeypatch.setattr(oracles, "ORBIT_TABLE_CAP", 575)
     with pytest.raises(LimitExceeded, match="576 entries exceeds the cap of 575"):
-        _OrbitTables(2).act_of(2, 2)
+        oracles._OrbitTables(2).act_of(2, 2)
 
 
 def test_group_cap_raises_limit():
     # dimension vector (2, 2) has the base-change group GL_2(F_2)^2 of size 36
-    assert len(indecomposables(path_algebra_An(2), 2, group_cap=36)) == 3
+    assert len(oracles.orbit_indecomposables(path_algebra_An(2), 2, group_cap=36)) == 3
     with pytest.raises(LimitExceeded, match="size 36 exceeds the search cap of 35"):
-        indecomposables(path_algebra_An(2), 2, group_cap=35)
+        oracles.orbit_indecomposables(path_algebra_An(2), 2, group_cap=35)
 
 
 def test_group_cap_is_checked_before_any_table():
     # |GL_2(F_3)|^2 = 2304 comes from the closed form; no GL table is built
-    tables = _OrbitTables(3)
+    tables = oracles._OrbitTables(3)
     with pytest.raises(LimitExceeded, match="size 2304 exceeds the search cap of 100"):
-        algebra._indecs_for_dimvec(path_algebra_An(2, p=3), (2, 2), tables, 100)
+        oracles._indecs_for_dimvec(path_algebra_An(2, p=3), (2, 2), tables, 100)
     assert tables.gl == {} and tables.act == {}
 
 
 @pytest.mark.parametrize("d, p", [(1, 2), (2, 2), (3, 2), (2, 3), (1, 5), (2, 5)])
 def test_gl_tables(d, p):
-    gl, inv, mats = algebra._gl_data(d, p)
-    assert len(gl) == algebra._gl_order(d, p)
+    gl, inv, mats = oracles._gl_data(d, p)
+    assert len(gl) == oracles._gl_order(d, p)
     assert all(Matrix(mats[enc], p).rank() == d for enc in gl)
     for i, enc in enumerate(gl):
         assert np.array_equal(mats[enc].astype(np.int64) @ mats[gl[inv[i]]] % p, np.eye(d))
@@ -461,12 +484,130 @@ def test_gl_tables(d, p):
 
 @pytest.mark.parametrize("p, dv, du", [(2, 2, 3), (2, 3, 1), (3, 2, 1), (3, 1, 2), (5, 1, 1)])
 def test_action_table_matches_loop(p, dv, du):
-    tables = _OrbitTables(p)
+    tables = oracles._OrbitTables(p)
     glv, _, matsv = tables.gl_of(dv)
     glu, _, matsu = tables.gl_of(du)
     act = tables.act_of(dv, du)
     for gi, genc in enumerate(glv):
-        for ci, c in enumerate(algebra._all_mats(dv, du, p)):
+        for ci, c in enumerate(oracles._all_mats(dv, du, p)):
             for hi, henc in enumerate(glu):
                 prod = (matsv[genc].astype(np.int64) @ c @ matsu[henc]) % p
-                assert act[gi, ci, hi] == algebra._encode(prod, p)
+                assert act[gi, ci, hi] == oracles._encode(prod, p)
+
+
+# -- Auslander-Reiten knitting ------------------------------------------------------
+
+
+KNIT_CASES = {
+    "example/F2": lambda: two_cycle_algebra(p=2),
+    "example/F3": lambda: two_cycle_algebra(p=3),
+    "An:4": lambda: path_algebra_An(4),
+    "An:5": lambda: path_algebra_An(5),
+    "An:6": lambda: path_algebra_An(6),
+    "int:2/F2": lambda: incidence_algebra(interval_poset(2)),
+    "int:2/F3": lambda: incidence_algebra(interval_poset(2), p=3),
+    "antichain:2": lambda: incidence_algebra(Poset.antichain(2)),
+    "int:3": lambda: incidence_algebra(interval_poset(3)),
+    "int:3 op": lambda: incidence_algebra(interval_poset(3)).opposite(),
+}
+
+
+def truncated_polynomials(n, p=2):
+    """F_p[x]/(x^n) on one loop: its indecomposables F_p[x]/(x^i) have End of dimension i."""
+    return Algebra.from_quiver(["1"], [("x", 0, 0)], [[(1, ("x",) * n)]], p=p)
+
+
+@pytest.mark.parametrize("name", sorted(KNIT_CASES))
+def test_knitting_matches_orbit_search(name):
+    A = KNIT_CASES[name]()
+    knitted, orbits = indecomposables(A, 2), oracles.orbit_indecomposables(A, 2)
+    assert len(knitted) == len(orbits)
+    for M in knitted:
+        assert sum(N.dims == M.dims and modules_isomorphic(M, N) is not None for N in orbits) == 1
+
+
+def coxeter_matrix(A):
+    """Phi = -C^T C^-1, where column v of the Cartan matrix C is dim P(v)."""
+    C = np.array([A.projective(v).dims for v in range(A.n_vertices)], dtype=float).T
+    return np.rint(-C.T @ np.linalg.inv(C)).astype(int)
+
+
+def is_isomorphic_to_any(M, modules):
+    return any(M.dims == N.dims and modules_isomorphic(M, N) is not None for N in modules)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_tau_follows_the_coxeter_transformation(n):
+    A = path_algebra_An(n)
+    phi = coxeter_matrix(A)
+    injectives = [A.injective(v) for v in range(n)]
+    projectives = [A.projective(v) for v in range(n)]
+    for X in indecomposables(A, 2):
+        Z, Y = tau_inverse(X), tau(X)
+        if is_isomorphic_to_any(X, injectives):
+            assert Z.is_zero()
+        else:
+            assert np.array_equal(phi @ np.array(Z.dims), X.dims)
+        if is_isomorphic_to_any(X, projectives):
+            assert Y.is_zero()
+        else:
+            assert np.array_equal(phi @ np.array(X.dims), Y.dims)
+
+
+@pytest.mark.parametrize("name", ["example/F2", "example/F3", "An:5", "int:3"])
+def test_tau_inverts_tau_inverse(name):
+    A = KNIT_CASES[name]()
+    for X in indecomposables(A, 2):
+        Z = tau_inverse(X)
+        if not Z.is_zero():
+            assert modules_isomorphic(tau(Z), X) is not None
+            assert modules_isomorphic(tau_inverse(tau(Z)), Z) is not None
+
+
+def assert_almost_split(indecs):
+    """0 -> X -> E -> Z -> 0 is almost split iff Hom(W, E) -> Hom(W, Z) has the
+    image rad(W, Z) for every indecomposable W: dim Hom(W, E) = dim Hom(W, X)
+    + dim Hom(W, Z) - [W = Z], End(Z) being local with residue field F_p."""
+    count = 0
+    for X in indecs:
+        seq = almost_split_sequence(X)
+        if seq is None:
+            continue
+        E, Z = seq
+        count += 1
+        assert E.dims == tuple(x + z for x, z in zip(X.dims, Z.dims))
+        for W in indecs:
+            same = W.dims == Z.dims and modules_isomorphic(W, Z) is not None
+            assert hom_dim(W, E) == hom_dim(W, X) + hom_dim(W, Z) - same, (X.dims, W.dims)
+    return count
+
+
+@pytest.mark.parametrize("name", ["example/F2", "example/F3", "int:3"])
+def test_almost_split_sequences(name):
+    A = KNIT_CASES[name]()
+    indecs = indecomposables(A, 2)
+    injective = sum(is_isomorphic_to_any(M, [A.injective(v) for v in range(A.n_vertices)]) for M in indecs)
+    assert assert_almost_split(indecs) == len(indecs) - injective
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_almost_split_sequences_of_non_bricks(p):
+    # over F_p[x]/(x^4), Ext^1(M_2, M_2) has dimension 2: M_4 is the middle term
+    # of a class outside the socle, M_1 + M_3 that of the almost split sequence
+    A = truncated_polynomials(4, p)
+    indecs = indecomposables(A, 4)
+    assert [M.dims for M in indecs] == [(1,), (2,), (3,), (4,)]
+    assert [hom_dim(M, M) for M in indecs] == [1, 2, 3, 4]
+    assert assert_almost_split(indecs) == 3
+    E, Z = almost_split_sequence(indecs[1])
+    assert sorted(M.dims for M, _ in decompose(E)) == [(1,), (3,)]
+
+
+def test_dimension_bound_stops_the_knitting():
+    A = incidence_algebra(interval_poset(3))
+    with pytest.raises(LimitExceeded, match=r"dimension vector \[.*\] exceeds the dimension bound 1"):
+        indecomposables(A, 1)
+    # the Kronecker quiver is representation-infinite: no bound makes its list complete
+    kronecker = Algebra.from_quiver(["1", "2"], [("a", 0, 1), ("b", 0, 1)], [])
+    with pytest.raises(LimitExceeded, match="exceeds the dimension bound 5"):
+        indecomposables(kronecker, 5)

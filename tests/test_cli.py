@@ -36,12 +36,12 @@ def test_catalan_tamari_congruence_uniform_beyond_5(capsys):
     assert "congruence uniform: yes" in out
 
 
-def test_base_change_cap_stops_field_7(capsys):
-    # GL_2(F_7)^2 has 4,064,256 elements; the cap stops the search before its
-    # orbit tables are built
-    code, _, err = run(capsys, "--field", "7", "--dim-bound", "3", "tors", "example")
-    assert code == 3
-    assert "base-change group of size 4064256 exceeds the search cap of 2000000" in err
+def test_field_7_example_at_dim_bound_3(capsys):
+    # knitting needs no base-change group: GL_2(F_7)^2 has 4,064,256 elements,
+    # past the cap that stopped the orbit search
+    code, out, err = run(capsys, "--field", "7", "--dim-bound", "3", "tors", "example")
+    assert (code, err) == (0, "")
+    assert out.startswith("algebra example: 5 indecomposables, 6 torsion pairs\n")
 
 
 def test_catalan_out_of_bounds(capsys):
@@ -140,12 +140,12 @@ def test_lattice_size_cap_exit_code(capsys):
 
 
 def test_incomplete_indecomposable_list_names_the_cause(capsys):
-    # dimension bound 1 finds 28 of the 35 indecomposables of int:3
+    # int:3 has indecomposables of dimension 2 at a vertex; bound 1 would list 28 of 35
     code, out, err = run(capsys, "--dim-bound", "1", "tors", "int:3")
-    assert (code, out) == (1, "")
-    assert err.startswith(
-        "verification FAILED: class has 8 covers, not 6"
-        " (the indecomposable list may be incomplete: raise the dimension bound)\n"
+    assert (code, out) == (3, "")
+    assert err == (
+        "limit exceeded: an indecomposable with dimension vector [1, 2, 2, 1, 2, 1]"
+        " exceeds the dimension bound 1\n"
     )
 
 
@@ -248,11 +248,18 @@ def test_search_cap_is_a_limit_not_a_parse_error(capsys):
     assert "limit exceeded" in err and "4096" in err
 
 
-def test_orbit_table_cap_is_a_limit_not_a_parse_error(capsys):
-    # dimension vector (2, 2) over F_5 needs a 480 x 625 x 480 orbit table
-    code, _, err = run(capsys, "--field", "5", "tors", "example")
-    assert code == 3
-    assert err.startswith("limit exceeded:") and "cap of 4000000" in err
+def test_field_5_example_needs_no_orbit_table(capsys):
+    # dimension vector (2, 2) over F_5 needed a 480 x 625 x 480 orbit table
+    code, out, err = run(capsys, "--field", "5", "tors", "example")
+    assert (code, err) == (0, "")
+    assert out.startswith("algebra example: 5 indecomposables, 6 torsion pairs\n")
+
+
+def test_field_three_int3_completes(capsys):
+    # the orbit search stopped here at its base-change group cap
+    code, out, err = run(capsys, "--field", "3", "tors", "int:3")
+    assert (code, err) == (0, "")
+    assert out.startswith("algebra int:3: 35 indecomposables, 808 torsion pairs\n")
 
 
 @pytest.mark.parametrize("kind", ["example", "An:3", "json"])
