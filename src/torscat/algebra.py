@@ -1365,8 +1365,7 @@ def ext1_space(X, Y):
     minimal projective resolution F_2 -> F_1 -> F_0 -> X.
     """
     p = X.algebra.p
-    stages = _resolution_stages(X, 2)
-    (F0, _, _, _), (F1, d1, _, _), (F2, d2, _, _) = stages[:3]
+    (F0, _, _, _), (F1, d1, _, _), (F2, d2, _, _) = _resolution_stages(X, 2)[:3]
     dim1 = F1.hom_space_dim(Y)
     if F1.is_zero() or Y.is_zero():
         return Subspace.zero(dim1, p), Subspace.zero(dim1, p)
@@ -1384,8 +1383,7 @@ def extension_middle(X, Y, cocycle):
     (Y + F_0)/{(g(z), -d_1(z))} of F_1 -> F_0 along the map g it defines.
     """
     p = X.algebra.p
-    stages = _resolution_stages(X, 1)
-    F0, (F1, d1, _, _) = stages[0][0], stages[1]
+    (F0, _, _, _), (F1, d1, _, _) = _resolution_stages(X, 1)[:2]
     offs = np.cumsum([0] + [Y.dims[v] for v in F1.verts])
     cocycle = np.asarray(cocycle, dtype=np.int64)
     g = F1.map_from_generators(Y, [cocycle[offs[s] : offs[s + 1]] for s in range(len(F1.verts))])
