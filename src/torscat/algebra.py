@@ -1539,7 +1539,7 @@ def indecomposables(A, dim_bound=2):
     if key in A._cache:
         return A._cache[key]
     op = A.opposite()
-    found = {}  # dimension vector -> the modules found with it
+    found = {}  # dimension vector -> [M, tau M, tau^-1 M] for each M found, the translates once known
     queue = deque()
 
     def push(M, tau_M=None, tau_inverse_M=None):
@@ -1548,9 +1548,13 @@ def indecomposables(A, dim_bound=2):
                 f"an indecomposable with dimension vector {list(M.dims)} exceeds the dimension bound {dim_bound}"
             )
         same = found.setdefault(M.dims, [])
-        if not any(_isomorphic_indecomposables(M, N) for N in same):
-            same.append(M)
-            queue.append((M, tau_M, tau_inverse_M))
+        for entry in same:
+            if _isomorphic_indecomposables(M, entry[0]):
+                entry[1] = tau_M if entry[1] is None else entry[1]
+                entry[2] = tau_inverse_M if entry[2] is None else entry[2]
+                return
+        same.append([M, tau_M, tau_inverse_M])
+        queue.append(same[-1])
 
     zero = Module.zero(A)
     for v in range(A.n_vertices):
@@ -1574,7 +1578,7 @@ def indecomposables(A, dim_bound=2):
             if not Y.is_zero():
                 push(Y, tau_inverse_M=X)
     out = sorted(
-        (M for same in found.values() for M in same),
+        (entry[0] for same in found.values() for entry in same),
         key=lambda M: (M.total_dim, M.dims, tuple(m.rank() for m in M.mats)),
     )
     A._cache[key] = out
