@@ -748,18 +748,19 @@ class Module:
         """Every submodule, as tuples of per-vertex subspaces.
 
         Cyclic submodules are generated from single-vertex vectors (enough,
-        since the vertex idempotents split any generator) and then closed
-        under sums.
+        since the vertex idempotents split any generator), one per line
+        through the origin: the vectors whose first nonzero coordinate is 1.
+        They are then closed under sums.
         """
         A = self.algebra
         p = A.p
         zero = tuple(Subspace.zero(self.dims[v], p) for v in range(A.n_vertices))
         cyclics = set()
-        for v in range(A.n_vertices):
-            for coeffs in itertools.product(range(p), repeat=self.dims[v]):
-                if not any(coeffs):
-                    continue
-                cyclics.add(self.spanned_submodule(v, np.array(coeffs, dtype=np.uint8)))
+        for v, d in enumerate(self.dims):
+            for lead in range(d):
+                for tail in itertools.product(range(p), repeat=d - lead - 1):
+                    vec = np.array((0,) * lead + (1,) + tail, dtype=np.uint8)
+                    cyclics.add(self.spanned_submodule(v, vec))
         found = {zero}
         frontier = [zero]
         while frontier:

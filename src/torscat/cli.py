@@ -160,7 +160,7 @@ def cmd_verify(args):
         return EXIT_OK
     if target == "thm1":
         n = args.n or 3
-        rep = verify_dyck_omega_iso(n, via="engine" if n <= 3 else "simples", dim_bound=args.dim_bound)
+        rep = verify_dyck_omega_iso(n, via="engine" if n <= 4 else "simples", dim_bound=args.dim_bound)
         lines = [f"thm1 n={n}: PASS (both lattices have {rep['dyck_size']} elements)"]
         if "engine_size" in rep:
             lines.append(f"  engine route: {rep['engine_size']} omega pairs out of {rep['torsion_pairs']} torsion pairs")

@@ -1,16 +1,16 @@
 """Torsion pairs over a fixed finite list of indecomposables.
 
 A subcategory is a bitmask over the indecomposable list of an algebra
-(additive closure is implicit).  Each indecomposable M_j keeps its list of
-submodules with the types of every U and M_j/U; a trace (the sum of the
-images of all maps from a subcategory) is a position in that list, joined
-from one row-reduced trace per module.  The torsion closure alternates a
-generation step (the trace is all of M_j) and a filtration step (M_j has a
-submodule U with U and M_j/U already in the class).  The enumeration takes
-the closure of each semibrick once and certifies that the classes found
-are all of them (see ``enumerate_torsion_pairs``); every class is checked
-against the exact torsion-pair definition, so a closure shortfall surfaces
-as a hard error instead of a wrong lattice.
+(additive closure is implicit).  Over a complete list, a torsion class is
+exactly a set T with T = left perp of (perp of T) (Dickson), so the
+smallest one containing S is the left perp of the perp of S, and the
+smallest torsion-free class containing S is the perp of its left perp:
+two bitmask passes over the Hom table.  The enumeration takes the closure
+of each semibrick once and certifies that the classes found are all of
+them (see ``enumerate_torsion_pairs``).  The hereditary, cohereditary and
+Serre predicates read the injective envelopes, the projective covers and
+the supports of the dimension vectors.  Submodule lists are built only
+where a brick label needs a filtration test (``filt_mask``).
 """
 
 from __future__ import annotations
@@ -181,68 +181,22 @@ class ModuleContext:
             self._t["bricks"] = sum(1 << i for i in range(self.k) if tab[i, i] == 1)
         return self._t["bricks"]
 
-    def _trace_rows(self, i, j):
-        """Per-vertex stacked image rows of all maps M_i -> M_j."""
-        key = ("tr", i, j)
-        if key not in self._t:
-            self.hom_table()
-            H = self._t["hom_basis"].get((i, j), [])
-            nv = self.algebra.n_vertices
-            rows = []
-            for v in range(nv):
-                mats = [f.mats[v].a.T for f in H]
-                rows.append(
-                    np.vstack(mats) if mats else np.zeros((0, self.indecs[j].dims[v]), dtype=np.uint8)
-                )
-            self._t[key] = rows
-        return self._t[key]
-
-    def _trace_index(self, j, relevant):
-        """Position in M_j's submodule list of the trace of add(relevant).
-
-        ``relevant`` holds only modules with maps into M_j.  A single
-        module's trace is row-reduced once from the images of a Hom basis;
-        a larger mask joins the traces of its lowest member and the rest.
-        """
-        key = ("trace", j, relevant)
-        t = self._t.get(key)
-        if t is None:
-            if relevant & (relevant - 1) == 0:
-                dims, p = self.indecs[j].dims, self.algebra.p
-                if relevant:
-                    rows = self._trace_rows(relevant.bit_length() - 1, j)
-                else:
-                    rows = [np.zeros((0, d)) for d in dims]
-                t = self._submodule_index(j, tuple(Subspace.from_rows(r, d, p) for r, d in zip(rows, dims)))
-            else:
-                low = relevant & -relevant
-                t = self._join_index(j, self._trace_index(j, low), self._trace_index(j, relevant ^ low))
-            self._t[key] = t
-        return t
-
-    def _join_index(self, j, a, b):
-        """Position of the sum of the submodules at positions a and b of M_j."""
-        if a == b or b == 0:
-            return a
-        if a == 0:
-            return b
-        key = ("join", j, min(a, b), max(a, b))
-        if key not in self._t:
-            subs = self._submodules(j)[0]
-            self._t[key] = self._submodule_index(j, tuple(x + y for x, y in zip(subs[a], subs[b])))
-        return self._t[key]
-
     def trace_subspaces(self, j, mask):
-        """The trace submodule of add(mask) in M_j, as per-vertex subspaces."""
-        return self._submodules(j)[0][self._trace_index(j, mask & self.hom_in(j))]
+        """The trace of add(mask) in M_j, the sum of the images of all maps
+        into it: per vertex, the row space of the images of a Hom basis."""
+        key = ("trace", j, mask & self.hom_in(j))
+        if key not in self._t:
+            H = [f for i in bits(key[2]) for f in self._t["hom_basis"][(i, j)]]
+            p = self.algebra.p
+            self._t[key] = tuple(
+                Subspace.from_rows(np.vstack([f.mats[v].a.T for f in H]), d, p) if H else Subspace.zero(d, p)
+                for v, d in enumerate(self.indecs[j].dims)
+            )
+        return self._t[key]
 
     def gen_test(self, j, mask):
         """Is M_j a quotient of a finite direct sum of members of mask?"""
-        key = ("gen", j, mask & self.hom_in(j))
-        if key not in self._t:
-            tr = self.trace_subspaces(j, mask)
-            self._t[key] = all(sp.dim == d for sp, d in zip(tr, self.indecs[j].dims))
-        return self._t[key]
+        return all(sp.dim == d for sp, d in zip(self.trace_subspaces(j, mask), self.indecs[j].dims))
 
     # -- identification ---------------------------------------------------------
 
@@ -279,48 +233,15 @@ class ModuleContext:
 
     # -- submodule/quotient type pairs ----------------------------------------
 
-    def _submodules(self, j):
-        """M_j's submodules in ``all_submodules`` order (zero first, M_j
-        last), each position's (types of U, types of M_j/U), and the
-        position of each submodule."""
-        key = ("subs", j)
-        if key not in self._t:
-            X = self.indecs[j]
-            subs = X.all_submodules()
-            types = [(self.identify_mask(X.sub(s)[0]), self.identify_mask(X.quotient(s)[0])) for s in subs]
-            self._t[key] = (subs, {s: t for t, s in enumerate(subs)}, types)
-        return self._t[key]
-
-    def _submodule_index(self, j, subspaces):
-        t = self._submodules(j)[1].get(subspaces)
-        if t is None:
-            raise VerificationFailed("a trace is not a submodule in the list", {"at": j})
-        return t
-
     def subquot_pairs(self, j):
-        """All (types of U, types of X/U) over submodules U of X = M_j."""
+        """All (types of U, types of M_j/U) over submodules U of M_j."""
         key = ("sq", j)
         if key not in self._t:
-            self._t[key] = tuple(sorted(set(self._submodules(j)[2])))
-        return self._t[key]
-
-    def sub_types(self, j):
-        """Types of indecomposable summands of submodules of M_j."""
-        key = ("subty", j)
-        if key not in self._t:
-            acc = 0
-            for mu, _ in self.subquot_pairs(j):
-                acc |= mu
-            self._t[key] = acc
-        return self._t[key]
-
-    def quot_types(self, j):
-        key = ("quotty", j)
-        if key not in self._t:
-            acc = 0
-            for _, mq in self.subquot_pairs(j):
-                acc |= mq
-            self._t[key] = acc
+            X = self.indecs[j]
+            self._t[key] = tuple(sorted({
+                (self.identify_mask(X.sub(s)[0]), self.identify_mask(X.quotient(s)[0]))
+                for s in X.all_submodules()
+            }))
         return self._t[key]
 
     # -- homological tables -----------------------------------------------------
@@ -388,32 +309,28 @@ class ModuleContext:
     # -- closures -----------------------------------------------------------------
 
     def torsion_closure_mask(self, mask):
-        return self._closure_mask(mask, self.gen_test)
+        """The smallest torsion class containing mask: the left perp of its perp."""
+        return self.left_perp_mask(self.perp_mask(mask))
 
     def free_closure_mask(self, mask):
         """The smallest torsion-free class containing mask: the perp of its left perp."""
         return self.perp_mask(self.left_perp_mask(mask))
 
     def filt_mask(self, mask):
-        """The M_j filtered by members of mask: its closure under extensions."""
-        return self._closure_mask(mask, lambda j, cur: False)
+        """The M_j filtered by members of mask: its closure under extensions.
 
-    def _closure_mask(self, mask, test):
-        """Grow ``mask`` until no M_j outside it passes ``test`` (generated
-        by the mask) or is an extension of two of its members."""
+        The closure lies in the smallest torsion class and the smallest
+        torsion-free class containing mask, as both are closed under
+        extensions.  Only their common members are tried, so where they
+        meet in mask alone no submodule list is built.
+        """
+        tried = self.left_perp_mask(self.perp_mask(mask)) & self.free_closure_mask(mask)
         cur = mask
         while True:
             new = cur
-            for j in range(self.k):
-                if (new >> j) & 1:
-                    continue
-                if test(j, new):
+            for j in bits(tried & ~cur):
+                if any(mu & ~new == 0 and mq & ~new == 0 for mu, mq in self.subquot_pairs(j)):
                     new |= 1 << j
-                    continue
-                for mu, mq in self.subquot_pairs(j):
-                    if mu & ~new == 0 and mq & ~new == 0:
-                        new |= 1 << j
-                        break
             if new == cur:
                 return cur
             cur = new
@@ -421,29 +338,17 @@ class ModuleContext:
     # -- exact torsion-class certificate ------------------------------------------
 
     def certify_torsion_class(self, mask):
-        """Exact check that (add mask, its perp) is a torsion pair.
+        """Exact check that (add mask, its perp) is a torsion pair; returns the perp.
 
-        Needs: perp biduality, and for every indecomposable X the canonical
-        sequence 0 -> t(X) -> X -> X/t(X) -> 0 with t(X) in the class and
-        the quotient in the perp (t = trace).  Raises VerificationFailed.
+        Over a complete indecomposable list this is Dickson's definition:
+        T = left perp of F and F = perp of T.  The canonical sequence
+        0 -> tX -> X -> X/tX -> 0 follows from it.  Raises VerificationFailed.
         """
         F = self.perp_mask(mask)
         if self.left_perp_mask(F) != mask:
             raise VerificationFailed(
                 "perp biduality fails", {"mask": mask, "perp": F, "biperp": self.left_perp_mask(F)}
             )
-        for j in range(self.k):
-            if (mask >> j) & 1 or (F >> j) & 1:
-                continue
-            tmask, qmask = self._submodules(j)[2][self._trace_index(j, mask & self.hom_in(j))]
-            if tmask & ~mask:
-                raise VerificationFailed(
-                    "trace submodule leaves the class", {"mask": mask, "at": j, "trace": tmask}
-                )
-            if qmask & ~F:
-                raise VerificationFailed(
-                    "torsion-free quotient leaves the perp", {"mask": mask, "at": j, "quot": qmask}
-                )
         return F
 
 
@@ -583,9 +488,9 @@ def enumerate_torsion_pairs(
     torsion class containing S, is a bijection from semibricks onto torsion
     classes (Asai, arXiv:1610.05860).  The semibricks are the cliques of the
     orthogonality graph on bricks; each grows a smaller one S by a brick b,
-    and T(S | b) is the closure of T(S) | b.  Two semibricks with one class
-    raise VerificationFailed, and every class is certified against the
-    exact torsion-pair definition.
+    and T(S | b) is the left perp of the perp of S | b.  Two semibricks
+    with one class raise VerificationFailed, and every class is certified
+    by perp biduality, the torsion-pair definition.
 
     The bijection is a proof only if the brick list is complete, so the
     family found is checked against two theorems on tau-tilting finite
@@ -602,10 +507,13 @@ def enumerate_torsion_pairs(
     among them.  Then each cover of the family is a cover in tors A: a class
     strictly between would give two bricks in the labels (one below it, one
     in its perp), and a second brick is never filtered by B, whether or not
-    the End-dimension test found it.  The second is checked as a count, so
-    each class found has all of its covers in tors A in the family, and as
-    the Hasse diagram of tors A is connected and 0 is in the family, no
-    class is missing.  Meets are then intersections (``from_sets`` checks
+    the End-dimension test found it.  Filt(B) lies in T(B) and in F(B), the
+    smallest torsion-free class containing B, so ``filt_mask`` compares the
+    label with B alone when the two meet only in B, and otherwise reads
+    submodule lists of their common members.  The second is checked as a
+    count, so each class found has all of its covers in tors A in the
+    family, and as the Hasse diagram of tors A is connected and 0 is in the
+    family, no class is missing.  Meets are then intersections (``from_sets`` checks
     that each is a member) and the join of two classes is the closure of
     their union, the least member containing it, so joins need no
     certificate of their own.  All of this takes the indecomposable list
@@ -621,16 +529,14 @@ def enumerate_torsion_pairs(
     )
     t0 = time.monotonic()
     bricks = ctx.bricks()
-    tors = {0: 0}  # semibrick -> T(semibrick)
     found = {0: 0}  # T(semibrick) -> semibrick
     for S, b in _semibricks(ctx.hom_table(), bricks):
-        T = ctx.torsion_closure_mask(tors[S] | 1 << b)
+        T = ctx.torsion_closure_mask(S | 1 << b)
         if T in found:
             raise VerificationFailed(
                 "two semibricks give the same torsion class",
                 {"class": T, "semibricks": [found[T], S | 1 << b]},
             )
-        tors[S | 1 << b] = T
         found[T] = S | 1 << b
         if len(found) > class_cap:
             raise BudgetExceeded(len(found), "class cap")
@@ -690,26 +596,18 @@ def is_omega_n(pair, n, route="ext"):
     raise ValueError(f"unknown route {route!r}")
 
 
-def is_hereditary(pair, via="submodules"):
-    """Torsion class closed under submodules (equivalently, free class under envelopes)."""
-    ctx = pair.context
-    if via == "submodules":
-        return all(ctx.sub_types(i) & ~pair.tors_mask == 0 for i in bits(pair.tors_mask))
-    if via == "envelopes":
-        ie = ctx.envelope_types()
-        return all(ie[j] & ~pair.free_mask == 0 for j in bits(pair.free_mask))
-    raise ValueError(f"unknown route {via!r}")
+def is_hereditary(pair):
+    """Torsion class closed under submodules: the free class is closed under
+    injective envelopes."""
+    ie = pair.context.envelope_types()
+    return all(ie[j] & ~pair.free_mask == 0 for j in bits(pair.free_mask))
 
 
-def is_cohereditary(pair, via="quotients"):
-    """Free class closed under quotients (equivalently, torsion class under covers)."""
-    ctx = pair.context
-    if via == "quotients":
-        return all(ctx.quot_types(j) & ~pair.free_mask == 0 for j in bits(pair.free_mask))
-    if via == "covers":
-        pc = ctx.cover_types()
-        return all(pc[i] & ~pair.tors_mask == 0 for i in bits(pair.tors_mask))
-    raise ValueError(f"unknown route {via!r}")
+def is_cohereditary(pair):
+    """Free class closed under quotients: the torsion class is closed under
+    projective covers."""
+    pc = pair.context.cover_types()
+    return all(pc[i] & ~pair.tors_mask == 0 for i in bits(pair.tors_mask))
 
 
 def is_split(pair):
@@ -720,17 +618,15 @@ def is_split(pair):
 
 
 def is_serre(ctx, mask):
-    """Closed under submodules, quotients and extensions."""
-    for i in bits(mask):
-        if ctx.sub_types(i) & ~mask or ctx.quot_types(i) & ~mask:
-            return False
-    for j in range(ctx.k):
-        if (mask >> j) & 1:
-            continue
-        for mu, mq in ctx.subquot_pairs(j):
-            if mu and mq and mu & ~mask == 0 and mq & ~mask == 0:
-                return False
-    return True
+    """Closed under submodules, quotients and extensions.
+
+    A Serre subcategory of a length category is fixed by the simples it
+    holds: it is every module whose composition factors are among them, so
+    mask must be every M_j supported on the vertices of its simples.
+    """
+    dims = [m.dims for m in ctx.indecs]
+    simple = {v for i in bits(mask) if sum(dims[i]) == 1 for v, d in enumerate(dims[i]) if d}
+    return mask == sum(1 << j for j, dv in enumerate(dims) if all(v in simple for v, d in enumerate(dv) if d))
 
 
 def extension_middles(X, Y):

@@ -5,9 +5,13 @@ enumerated semibricks: a trace is row-reduced from the stacked images of a
 Hom basis for every new mask, the closure alternates that generation test
 with the extension test over freshly identified submodule/quotient types,
 and the classes are found by breadth-first joins from the principal ones.
-It shares no trace, submodule or closure code with ``ModuleContext``; it
-uses only ``hom``, ``Module.all_submodules``/``sub``/``quotient`` and the
-context's ``identify_mask``.
+It also keeps the routes the package used before it read everything off
+the Hom table: the canonical sequence 0 -> tX -> X -> X/tX -> 0 of each
+class, and the hereditary, cohereditary and Serre tests over the types of
+all submodules and quotients.  It shares no trace, submodule or closure
+code with ``ModuleContext``; it uses only ``hom``,
+``Module.all_submodules``/``sub``/``quotient`` and the context's
+``identify_mask``.
 
 ``orbit_indecomposables`` lists the indecomposables the way the package did
 before it knitted the Auslander-Reiten quiver: per dimension vector up to a
@@ -16,8 +20,10 @@ representatives that pass the Fitting test.  Its cost grows like p^(d^2),
 so it is capped, and its list is complete only up to the bound.
 """
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -32,16 +38,20 @@ class RrefTorsion:
         self._hom = {}
         self._trace = {}
         self._pairs = {}
+        self._sequence = {}
 
     def homs(self, i, j):
         if (i, j) not in self._hom:
             self._hom[i, j] = hom(self.ctx.indecs[i], self.ctx.indecs[j])
         return self._hom[i, j]
 
+    def _relevant(self, j, mask):
+        return j, sum(1 << i for i in bits(mask) if self.homs(i, j))
+
     def trace_subspaces(self, j, mask):
         """Per-vertex row space of the images of all maps from mask into M_j."""
-        relevant = sum(1 << i for i in bits(mask) if self.homs(i, j))
-        key = (j, relevant)
+        key = self._relevant(j, mask)
+        relevant = key[1]
         if key not in self._trace:
             M, p = self.ctx.indecs[j], self.ctx.algebra.p
             out = []
@@ -54,11 +64,43 @@ class RrefTorsion:
     def generated(self, j, mask):
         return all(sp.dim == d for sp, d in zip(self.trace_subspaces(j, mask), self.ctx.indecs[j].dims))
 
+    def canonical_sequence(self, j, mask):
+        """(types of tX, types of X/tX) for X = M_j, with tX the trace of mask."""
+        key = self._relevant(j, mask)
+        if key not in self._sequence:
+            X, ident, tr = self.ctx.indecs[j], self.ctx.identify_mask, self.trace_subspaces(j, mask)
+            self._sequence[key] = ident(X.sub(tr)[0]), ident(X.quotient(tr)[0])
+        return self._sequence[key]
+
     def subquot_pairs(self, j):
         if j not in self._pairs:
             X, ident = self.ctx.indecs[j], self.ctx.identify_mask
             self._pairs[j] = {(ident(X.sub(s)[0]), ident(X.quotient(s)[0])) for s in X.all_submodules()}
         return self._pairs[j]
+
+    def sub_types(self, j):
+        return functools.reduce(operator.or_, (mu for mu, _ in self.subquot_pairs(j)))
+
+    def quot_types(self, j):
+        return functools.reduce(operator.or_, (mq for _, mq in self.subquot_pairs(j)))
+
+    def is_hereditary(self, pair):
+        """The torsion class is closed under submodules."""
+        return all(self.sub_types(i) & ~pair.tors_mask == 0 for i in bits(pair.tors_mask))
+
+    def is_cohereditary(self, pair):
+        """The free class is closed under quotients."""
+        return all(self.quot_types(j) & ~pair.free_mask == 0 for j in bits(pair.free_mask))
+
+    def is_serre(self, mask):
+        """Closed under submodules, quotients and extensions."""
+        if any((self.sub_types(i) | self.quot_types(i)) & ~mask for i in bits(mask)):
+            return False
+        return not any(
+            mu and mq and mu & ~mask == 0 and mq & ~mask == 0
+            for j in bits(self.ctx.all_mask & ~mask)
+            for mu, mq in self.subquot_pairs(j)
+        )
 
     def closure(self, mask):
         cur = mask

@@ -82,6 +82,11 @@ def test_verify_thm1(capsys):
     assert code == 0 and "PASS" in out
 
 
+def test_verify_thm1_engine_route_at_n4(capsys):
+    code, out, _ = run(capsys, "verify", "thm1", "--n", "4")
+    assert code == 0 and "engine route: 14 omega pairs out of 808 torsion pairs" in out
+
+
 def test_verify_thm2(capsys):
     code, out, _ = run(capsys, "verify", "thm2", "--n", "3")
     assert code == 0 and "PASS" in out
@@ -258,6 +263,13 @@ def test_field_5_example_needs_no_orbit_table(capsys):
 def test_field_three_int3_completes(capsys):
     # the orbit search stopped here at its base-change group cap
     code, out, err = run(capsys, "--field", "3", "tors", "int:3")
+    assert (code, err) == (0, "")
+    assert out.startswith("algebra int:3: 35 indecomposables, 808 torsion pairs\n")
+
+
+def test_field_251_int3_completes(capsys):
+    # no submodule list on the main path: all_submodules spanned 251^d - 1 cyclics per vertex
+    code, out, err = run(capsys, "--field", "251", "tors", "int:3")
     assert (code, err) == (0, "")
     assert out.startswith("algebra int:3: 35 indecomposables, 808 torsion pairs\n")
 

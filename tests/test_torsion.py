@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 from oracles import RrefTorsion
+from test_algebra import truncated_polynomials
 
 from torscat import torsion
 from torscat.algebra import incidence_algebra, modules_isomorphic, path_algebra_An, two_cycle_algebra
@@ -178,12 +179,23 @@ ORACLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", ORACLE_CASES)
-def test_semibrick_classes_match_bfs_oracle(case):
+@functools.cache
+def oracle_case(case):
     build, p, dim_bound = ORACLE_CASES[case]
     ctx = ModuleContext.for_algebra(build(p), dim_bound)
-    TL = enumerate_torsion_pairs(ctx)
-    assert {pr.tors_mask for pr in TL.pairs} == RrefTorsion(ctx).classes()
+    return enumerate_torsion_pairs(ctx), RrefTorsion(ctx)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_semibrick_classes_match_bfs_oracle(case):
+    TL, oracle = oracle_case(case)
+    assert {pr.tors_mask for pr in TL.pairs} == oracle.classes()
+    # every class has its canonical sequence 0 -> tX -> X -> X/tX -> 0, with
+    # tX in the class and X/tX in its perp; the oracle's traces are warm
+    for pr in TL.pairs:
+        for j in bits(TL.context.all_mask & ~pr.tors_mask & ~pr.free_mask):
+            tmask, qmask = oracle.canonical_sequence(j, pr.tors_mask)
+            assert tmask & ~pr.tors_mask == 0 and qmask & ~pr.free_mask == 0, (pr, j)
 
 
 @pytest.mark.parametrize("build", [
@@ -239,6 +251,17 @@ def test_certificate_catches_hidden_brick(monkeypatch):
     ctx = ModuleContext.for_algebra(two_cycle_algebra(), 2)
     bricks = ctx.bricks()
     monkeypatch.setattr(ctx, "bricks", lambda: bricks & ~(1 << name_index(ctx)["I1"]))
+    with pytest.raises(VerificationFailed, match="cover is not labelled by a single brick"):
+        enumerate_torsion_pairs(ctx)
+
+
+def test_label_beyond_the_brick_is_its_filtration(monkeypatch):
+    # over F_2[x]/(x^2), T(S1) and F(S1) both hold P1, so the label {S1, P1}
+    # of 0 < top is checked against the extension closure of S1
+    ctx = ModuleContext.for_algebra(truncated_polynomials(2), 2)
+    TL = enumerate_torsion_pairs(ctx)
+    assert TL.n == 2 and TL.labels[1] == "{S1,P1}"
+    monkeypatch.setattr(ctx, "filt_mask", lambda mask: mask)
     with pytest.raises(VerificationFailed, match="cover is not labelled by a single brick"):
         enumerate_torsion_pairs(ctx)
 
@@ -302,19 +325,24 @@ def test_three_omega_routes_agree(example_lattice, int2_lattice):
                 assert len(answers) == 1
 
 
-def test_omega_lemma_equivalences(example_ctx, example_lattice, int2_ctx, int2_lattice):
-    for ctx, TL in ((example_ctx, example_lattice), (int2_ctx, int2_lattice)):
+def test_omega_lemma_equivalences():
+    for case in ORACLE_CASES:
+        TL, oracle = oracle_case(case)
         for pr in TL.pairs:
             w = is_omega_n(pr, 1)
             assert w == (is_hereditary(pr) and is_cohereditary(pr))
-            assert w == (is_serre(ctx, pr.tors_mask) and is_serre(ctx, pr.free_mask))
+            serre = [is_serre(TL.context, mask) for mask in (pr.tors_mask, pr.free_mask)]
+            assert serre == [oracle.is_serre(mask) for mask in (pr.tors_mask, pr.free_mask)]
+            assert w == all(serre)
 
 
-def test_hereditary_cross_route(example_lattice, int2_lattice):
-    for TL in (example_lattice, int2_lattice):
+def test_hereditary_cross_route():
+    # envelopes and covers against the types of all submodules and quotients
+    for case in ORACLE_CASES:
+        TL, oracle = oracle_case(case)
         for pr in TL.pairs:
-            assert is_hereditary(pr) == is_hereditary(pr, via="envelopes")
-            assert is_cohereditary(pr) == is_cohereditary(pr, via="covers")
+            assert is_hereditary(pr) == oracle.is_hereditary(pr)
+            assert is_cohereditary(pr) == oracle.is_cohereditary(pr)
 
 
 def test_trivial_pair_predicates(example_lattice):
