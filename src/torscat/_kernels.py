@@ -15,7 +15,6 @@ def rref(a_in, p):
     m, n = a.shape
     if m == 0 or n == 0:
         return a.astype(np.uint8), ()
-    inv_tab = [0] + [pow(x, p - 2, p) for x in range(1, p)]
     row = 0
     pivots = []
     for col in range(n):
@@ -25,7 +24,7 @@ def rref(a_in, p):
         piv = row + nz[0]
         if piv != row:
             a[[row, piv]] = a[[piv, row]]
-        inv = inv_tab[a[row, col]]
+        inv = pow(int(a[row, col]), p - 2, p)
         if inv != 1:
             a[row] = (a[row] * inv) % p
         hits = np.nonzero(a[:, col])[0]

@@ -557,7 +557,7 @@ def _two_cycle_failure(A):
     gd = global_dimension(A, probe_bound=6)
     if gd != 2:
         return f"global dimension must be 2, got {gd}"
-    if modules_isomorphic(A.projective(1), A.injective(1)) is None:
+    if not _isomorphic_indecomposables(A.projective(1), A.injective(1)):
         return "P_2 must be injective"
     if len(indecomposables(A, dim_bound=2)) != 5:
         return "must have 5 indecomposables"
@@ -1208,22 +1208,32 @@ def _try_split(M, mats):
     return M1, M2
 
 
-def _find_splitter(M, ends, search_cap):
-    p = M.algebra.p
-    d = len(ends)
+_SPLIT_SEARCH_DIM = 12  # the last-resort splitter search enumerates End(M) only up to this dimension
+
+
+def _find_splitter(M, ends):
+    """A Fitting split of M along some endomorphism, or None if M is indecomposable.
+
+    A local End(M) has no splitting element, so only a non-local one that no
+    basis element or pairwise sum splits falls through to the full search.
+    """
     for phi in ends:
         split = _try_split(M, phi.mats)
         if split:
             return split
+    if _local_radical(M, ends) is not None:
+        return None
+    d = len(ends)
     for i in range(d):
         for j in range(i + 1, d):
             mats = [a + b for a, b in zip(ends[i].mats, ends[j].mats)]
             split = _try_split(M, mats)
             if split:
                 return split
-    if p**d > search_cap:
+    p = M.algebra.p
+    if d > _SPLIT_SEARCH_DIM:
         raise EndTooLarge(
-            f"endomorphism ring has {p}^{d} elements, beyond the search bound {search_cap}"
+            f"endomorphism ring has {p}^{d} elements, beyond the search bound {p}^{_SPLIT_SEARCH_DIM}"
         )
     nv = M.algebra.n_vertices
     for coeffs in itertools.product(range(p), repeat=d):
@@ -1242,16 +1252,13 @@ def _find_splitter(M, ends, search_cap):
     return None
 
 
-def decompose(M, search_cap=None):
+def decompose(M):
     """Krull-Schmidt decomposition [(indecomposable, multiplicity), ...].
 
-    Searches End(M) for an element that is neither nilpotent nor invertible
-    and splits along its stable image/kernel (Fitting), recursing.  Raises
-    EndTooLarge when certifying indecomposability would need more than
-    ``search_cap`` (default p^12) endomorphisms.
+    Splits M along the stable image/kernel of an endomorphism that is
+    neither nilpotent nor invertible (Fitting), recursing, and stops at a
+    summand whose endomorphism ring ``_local_radical`` certifies local.
     """
-    if search_cap is None:
-        search_cap = M.algebra.p ** 12
     if M.is_zero():
         return []
     parts = []
@@ -1261,7 +1268,7 @@ def decompose(M, search_cap=None):
         if len(ends) == 1:
             parts.append(X)
             return
-        split = _find_splitter(X, ends, search_cap)
+        split = _find_splitter(X, ends)
         if split is None:
             parts.append(X)
             return
@@ -1308,52 +1315,33 @@ def _coordinate_connected(dims, raw_mats, arrows):
     return all(find(x) == root for x in range(total))
 
 
-def is_indecomposable(M, search_cap=None):
+def is_indecomposable(M):
     if M.is_zero():
         return False
     if M.total_dim == 1:
         return True
     if not _coordinate_connected(M.dims, [m.a for m in M.mats], M.algebra.arrows):
         return False
-    if search_cap is None:
-        search_cap = M.algebra.p ** 12
     ends = hom(M, M)
     if len(ends) == 1:
         return True
-    return _find_splitter(M, ends, search_cap) is None
+    return _find_splitter(M, ends) is None
 
 
-def modules_isomorphic(M, N, search_cap=4096):
-    """An isomorphism M -> N, or None.
+def modules_isomorphic(M, N):
+    """Whether M and N are isomorphic.
 
-    Filters by dimension vector, then searches hom(M, N) for an invertible
-    element by enumerating coefficient tuples (small spaces only).
+    By Krull-Schmidt they are iff their indecomposable summands match with
+    multiplicities.  ``decompose`` lists pairwise non-isomorphic summands,
+    so a match of each summand of M is a bijection, and
+    ``_isomorphic_indecomposables`` decides each match without a search.
     """
-    if M.algebra is not N.algebra:
-        return None
-    if M.dims != N.dims:
-        return None
-    if M.is_zero():
-        return ModuleMap(M, N, [Matrix.zeros(0, 0, M.algebra.p) for _ in M.dims], check=False)
-    H = hom(M, N)
-    if not H:
-        return None
-    p = M.algebra.p
-    if hom_dim(M, M) != hom_dim(N, N) or hom_dim(N, M) != len(H):
-        return None
-    if p ** len(H) > search_cap:
-        raise EndTooLarge(f"iso search space {p}^{len(H)} exceeds bound {search_cap}")
-    nv = M.algebra.n_vertices
-    for coeffs in itertools.product(range(p), repeat=len(H)):
-        if not any(coeffs):
-            continue
-        mats = [
-            Matrix(sum(int(c) * h.mats[v].a.astype(np.int64) for c, h in zip(coeffs, H)) % p, p)
-            for v in range(nv)
-        ]
-        if all(m.rank() == M.dims[v] for v, m in enumerate(mats)):
-            return ModuleMap(M, N, mats, check=False)
-    return None
+    if M.algebra is not N.algebra or M.dims != N.dims:
+        return False
+    left, right = decompose(M), decompose(N)
+    return len(left) == len(right) and all(
+        any(m == n and _isomorphic_indecomposables(X, Y) for Y, n in right) for X, m in left
+    )
 
 
 # -- extensions and the Auslander-Reiten translate -------------------------------
@@ -1445,14 +1433,55 @@ def _scalar_power(f, q):
     return c
 
 
+def _local_radical(X, ends):
+    """rad End(X) as a spanning list of per-vertex matrices, or None.
+
+    ``ends`` is a basis of End(X) and q = p^s >= dim X.  Every f in it must
+    have f^q = c id; the f - c id then span a subspace R with End(X) =
+    F_p id + R.  R must also be closed under products, with R^m = 0 for
+    some m: each power R^(k+1) = R R^k lies strictly inside R^k until it
+    is 0.  Then R is a nilpotent ideal, so R lies in the radical J, and
+    End(X)/R = F_p is a field, so R = J and End(X) is local.  Conversely,
+    if End(X) is local with residue field F_p, each f is c id + j with j in
+    J, and as c id and j commute, f^q = c^q id + j^q = c id; so the f - c id
+    lie in J, span it with id, and pass.  By Fitting's lemma and
+    Krull-Schmidt, None thus means X is decomposable or its residue field
+    is larger than F_p.
+    """
+    p = X.algebra.p
+    q = p
+    while q < X.total_dim:
+        q *= p
+    rad = []
+    for f in ends:
+        c = _scalar_power(f, q)
+        if c is None:
+            return None
+        rad.append([(m.a.astype(np.int64) - c * np.eye(m.rows, dtype=np.int64)) % p for m in f.mats])
+    offs = np.cumsum([0] + [d * d for d in X.dims])
+
+    def flat(mats):
+        return np.concatenate([m.ravel() for m in mats]) % p
+
+    power = Subspace.from_rows([flat(r) for r in rad], int(offs[-1]), p)
+    while power.dim:
+        rows = [np.split(row.astype(np.int64), offs[1:-1]) for row in power.basis]
+        nxt = Subspace.from_rows(
+            [flat([a @ b.reshape(a.shape) for a, b in zip(r, s)]) for r in rad for s in rows], power.ambient, p
+        )
+        if nxt.dim == power.dim or not nxt <= power:
+            return None
+        power = nxt
+    return rad
+
+
 def almost_split_sequence(X):
     """(E, Z) for the almost split sequence 0 -> X -> E -> Z -> 0, or None.
 
     X is indecomposable; None means X is injective.  Z = tau^{-1} X, and
     the sequence is the class of Ext^1(Z, X) in the socle of Ext^1 as an
-    End(X)-module (postcomposition).  rad End(X) is spanned by the f - c id
-    with f^q = c id for q = p^s >= dim X, since End(X) is local with residue
-    field F_p; when X is a brick every nonzero class is in the socle.
+    End(X)-module (postcomposition), cut out by ``_local_radical``; when X
+    is a brick every nonzero class is in the socle.
     """
     Z = tau_inverse(X)
     if Z.is_zero():
@@ -1467,22 +1496,16 @@ def _almost_split_middle(X, Z):
     C = cocycles.basis.astype(np.int64)
     ends = hom(X, X)
     if len(ends) > 1:
-        q = p
-        while q < X.total_dim:
-            q *= p
+        rad = _local_radical(X, ends)
+        if rad is None:
+            raise AlgebraError(f"End of the module with dimension vector {X.dims} is not local over F_p")
         F1 = _resolution_stages(Z, 1)[1][0]
         offs = np.cumsum([0] + [X.dims[v] for v in F1.verts])
         Q = Matrix(boundaries.basis, p).kernel().basis.astype(np.int64)  # Q x = 0 iff x is a boundary
         conds = []
-        for f in ends:
-            c = _scalar_power(f, q)
-            if c is None:
-                raise AlgebraError(f"End of the module with dimension vector {X.dims} is not local over F_p")
-            # f - c id in rad End(X) postcomposes each generator's image of a cocycle
-            radC = [
-                (f.mats[v].a.astype(np.int64) - c * np.eye(X.dims[v], dtype=np.int64)) @ C[:, offs[s] : offs[s + 1]].T
-                for s, v in enumerate(F1.verts)
-            ]
+        for r in rad:
+            # r in rad End(X) postcomposes each generator's image of a cocycle
+            radC = [r[v] @ C[:, offs[s] : offs[s + 1]].T for s, v in enumerate(F1.verts)]
             conds.append(Q @ np.vstack(radC))
         C = Matrix(np.vstack(conds) % p, p).kernel().basis.astype(np.int64) @ C % p
     for xi in C:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .lattice import FinLattice, check_joins_are_unions
-from .poset import Ideal, Poset, interval_poset
+from .poset import Ideal, Poset, interval_poset, transitive_closure
 
 __all__ = [
     "DyckPath",
@@ -206,27 +206,15 @@ def _rotations_up(t):
 def tamari_lattice(n):
     """Binary trees with n internal nodes; covers are single rotations.
 
-    The order is the transitive closure of the rotation covers, computed by
-    breadth-first search; ``from_order`` checks that the principal
-    down-sets are closed under intersection with a greatest one.
+    The order is the transitive closure of the rotation covers;
+    ``from_order`` checks that the principal down-sets are closed under
+    intersection with a greatest one.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     trees = sorted(binary_trees(n), key=tree_to_parens)
     index = {t: i for i, t in enumerate(trees)}
-    succ = [[index[t2] for t2 in _rotations_up(t)] for t in trees]
-    k = len(trees)
-    up = []
-    for i in range(k):
-        reach = 1 << i
-        stack = [i]
-        while stack:
-            x = stack.pop()
-            for y in succ[x]:
-                if not (reach >> y) & 1:
-                    reach |= 1 << y
-                    stack.append(y)
-        up.append(reach)
+    up = transitive_closure([sum(1 << index[t2] for t2 in _rotations_up(t)) for t in trees])
     return FinLattice.from_order(up, labels=[tree_to_parens(t) for t in trees])
 
 

@@ -211,21 +211,14 @@ def cmd_verify(args):
 
 def cmd_module(args):
     A = parse_algebra_spec(args.algebra, p=args.field, opposite=args.op)
-    from .algebra import Module, decompose, modules_isomorphic
+    from .algebra import Module, decompose
 
     with open(args.module) as fh:
         M = Module.from_json(A, json.load(fh))
     parts = decompose(M)
     ctx = ModuleContext.for_algebra(A, args.dim_bound)
     names = ctx.names()
-
-    def name_of(rep):
-        for i, cand in enumerate(ctx.indecs):
-            if cand.dims == rep.dims and modules_isomorphic(rep, cand):
-                return names[i]
-        return "M" + "".join(str(d) for d in rep.dims)
-
-    summands = [[name_of(rep), list(rep.dims), mult] for rep, mult in parts]
+    summands = [[names[ctx.index_of(rep)], list(rep.dims), mult] for rep, mult in parts]
     payload = {
         "dims": list(M.dims),
         "total_dim": M.total_dim,

@@ -29,19 +29,18 @@ def bits(mask):
 
 
 def transitive_closure(masks):
-    """Reflexive-transitive closure of adjacency bitmasks (in place on a copy)."""
-    n = len(masks)
-    out = [m | (1 << i) for i, m in enumerate(masks)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = out[i]
-            for j in bits(acc):
-                acc |= out[j]
-            if acc != out[i]:
-                out[i] = acc
-                changed = True
+    """Reflexive-transitive closure of adjacency bitmasks: row i holds every
+    vertex reachable from i, found breadth-first one frontier mask at a time."""
+    out = []
+    for i in range(len(masks)):
+        reach = frontier = 1 << i
+        while frontier:
+            step = 0
+            for j in bits(frontier):
+                step |= masks[j]
+            frontier = step & ~reach
+            reach |= step
+        out.append(reach)
     return out
 
 

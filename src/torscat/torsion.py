@@ -21,13 +21,13 @@ import time
 import numpy as np
 
 from .algebra import (
+    _isomorphic_indecomposables,
     decompose,
     ext,
     ext1_space,
     extension_middle,
     hom,
     injective_envelope,
-    modules_isomorphic,
     projective_cover,
     syzygy,
     cosyzygy,
@@ -124,7 +124,7 @@ class ModuleContext:
             def name_of(m):
                 for prefix, module in kinds:
                     for v in range(A.n_vertices):
-                        if m.dims == module(v).dims and modules_isomorphic(m, module(v)):
+                        if _isomorphic_indecomposables(m, module(v)):
                             return f"{prefix}{A.vlabels[v]}"
                 return "M" + "".join(str(d) for d in m.dims)
 
@@ -201,32 +201,26 @@ class ModuleContext:
     # -- identification ---------------------------------------------------------
 
     def identify(self, module):
-        """Iso types of the indecomposable summands, as ((index, mult), ...).
-
-        Raises UnknownIndecomposable if a summand is not in the stored list,
-        which can happen only for a list not made by ``indecomposables``.
-        """
+        """Iso types of the indecomposable summands, as ((index, mult), ...)."""
         if module.is_zero():
             return ()
         key = ("id", module.key())
         if key not in self._t:
-            out = []
-            for rep, mult in decompose(module):
-                idx = self._index.get(rep.key())
-                if idx is None:
-                    for cand in range(self.k):
-                        if self.indecs[cand].dims == rep.dims and modules_isomorphic(
-                            rep, self.indecs[cand]
-                        ):
-                            idx = cand
-                            break
-                if idx is None:
-                    raise UnknownIndecomposable(
-                        f"summand with dimension vector {rep.dims} is not in the indecomposable list"
-                    )
-                out.append((idx, mult))
-            self._t[key] = tuple(sorted(out))
+            self._t[key] = tuple(sorted((self.index_of(rep), mult) for rep, mult in decompose(module)))
         return self._t[key]
+
+    def index_of(self, rep):
+        """The index of the listed module isomorphic to the indecomposable rep.
+
+        Raises UnknownIndecomposable if there is none, which can happen only
+        for a list not made by ``indecomposables``.
+        """
+        idx = self._index.get(rep.key())
+        if idx is None:
+            idx = next((i for i, cand in enumerate(self.indecs) if _isomorphic_indecomposables(rep, cand)), None)
+        if idx is None:
+            raise UnknownIndecomposable(f"summand with dimension vector {rep.dims} is not in the indecomposable list")
+        return idx
 
     def identify_mask(self, module):
         return sum(1 << i for i, _ in self.identify(module))

@@ -18,6 +18,12 @@ before it knitted the Auslander-Reiten quiver: per dimension vector up to a
 bound, an orbit search over the base-change groups GL_d(F_p), keeping the
 representatives that pass the Fitting test.  Its cost grows like p^(d^2),
 so it is capped, and its list is complete only up to the bound.
+
+``search_isomorphism`` finds an isomorphism by trying every element of a
+Hom basis's span, the way the package did before it matched indecomposable
+summands; ``has_splitter`` tries every endomorphism for a Fitting split.
+Both are exponential in the Hom dimension and share no code with the
+local-ring certificate the package decides indecomposability with.
 """
 
 import functools
@@ -27,7 +33,7 @@ import operator
 
 import numpy as np
 
-from torscat.algebra import LimitExceeded, Module, hom, is_indecomposable
+from torscat.algebra import EndTooLarge, LimitExceeded, Module, ModuleMap, hom, hom_dim, is_indecomposable
 from torscat.linalg import Matrix, Subspace, solve
 from torscat.poset import bits
 
@@ -346,3 +352,62 @@ def _indecs_for_dimvec(A, dvec, tables, group_cap):
 
     rec(0, {}, grid)
     return results
+
+
+# -- isomorphism and splitting by exhaustive search ------------------------------
+
+
+def search_isomorphism(M, N, search_cap=4096):
+    """An isomorphism M -> N, or None.
+
+    Filters by dimension vector, then searches hom(M, N) for an invertible
+    element by enumerating coefficient tuples (small spaces only).
+    """
+    if M.algebra is not N.algebra:
+        return None
+    if M.dims != N.dims:
+        return None
+    if M.is_zero():
+        return ModuleMap(M, N, [Matrix.zeros(0, 0, M.algebra.p) for _ in M.dims], check=False)
+    H = hom(M, N)
+    if not H:
+        return None
+    p = M.algebra.p
+    if hom_dim(M, M) != hom_dim(N, N) or hom_dim(N, M) != len(H):
+        return None
+    if p ** len(H) > search_cap:
+        raise EndTooLarge(f"iso search space {p}^{len(H)} exceeds bound {search_cap}")
+    nv = M.algebra.n_vertices
+    for coeffs in itertools.product(range(p), repeat=len(H)):
+        if not any(coeffs):
+            continue
+        mats = [
+            Matrix(sum(int(c) * h.mats[v].a.astype(np.int64) for c, h in zip(coeffs, H)) % p, p)
+            for v in range(nv)
+        ]
+        if all(m.rank() == M.dims[v] for v, m in enumerate(mats)):
+            return ModuleMap(M, N, mats, check=False)
+    return None
+
+
+def has_splitter(M):
+    """Whether some endomorphism of M is neither nilpotent nor invertible.
+
+    By Fitting's lemma that holds iff M is decomposable.  Every element of
+    End(M) up to a scalar is tried, those with fewer nonzero coordinates in
+    the Hom basis first, by the rank of its power f^dim(M).
+    """
+    ends, p, n = hom(M, M), M.algebra.p, M.total_dim
+    for k in range(1, len(ends) + 1):
+        for support in itertools.combinations(ends, k):
+            for coeffs in itertools.product(range(1, p), repeat=k - 1):
+                rank = 0
+                for v, d in enumerate(M.dims):
+                    f = sum(c * g.mats[v].a.astype(np.int64) for c, g in zip((1, *coeffs), support)) % p
+                    power = np.eye(d, dtype=np.int64)
+                    for _ in range(n):
+                        power = (power @ f) % p
+                    rank += Matrix(power, p).rank()
+                if 0 < rank < n:
+                    return True
+    return False

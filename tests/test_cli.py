@@ -247,10 +247,14 @@ def test_field_above_uint8_rejected(capsys):
     assert "at most 255" in capsys.readouterr().err
 
 
-def test_search_cap_is_a_limit_not_a_parse_error(capsys):
-    code, _, err = run(capsys, "--field", "251", "verify", "example")
-    assert code == 3
-    assert "limit exceeded" in err and "4096" in err
+def test_field_251_verify_example_answers(capsys):
+    # indecomposables are named and matched without a search over Hom spaces of 251^h elements
+    code, out, err = run(capsys, "--field", "251", "verify", "example")
+    assert (code, err) == (0, "")
+    assert "indecomposables: 5\n" in out and "torsion pairs: 6\n" in out
+    code, out, err = run(capsys, "--field", "127", "tors", "example")
+    assert (code, err) == (0, "")
+    assert out.startswith("algebra example: 5 indecomposables, 6 torsion pairs\n")
 
 
 def test_field_5_example_needs_no_orbit_table(capsys):

@@ -4,11 +4,19 @@ import random
 
 import numpy as np
 import pytest
-from oracles import RrefTorsion
+from oracles import RrefTorsion, has_splitter
 from test_algebra import truncated_polynomials
 
 from torscat import torsion
-from torscat.algebra import incidence_algebra, modules_isomorphic, path_algebra_An, two_cycle_algebra
+from torscat.algebra import (
+    _local_radical,
+    hom,
+    incidence_algebra,
+    indecomposables,
+    modules_isomorphic,
+    path_algebra_An,
+    two_cycle_algebra,
+)
 from torscat.catalan import _interval_index, tamari_lattice, typeA_torsion_classes, typeA_torsion_lattice
 from torscat.lattice import lattice_isomorphic
 from torscat.poset import Poset, bits, interval_poset
@@ -186,6 +194,23 @@ def oracle_case(case):
     return enumerate_torsion_pairs(ctx), RrefTorsion(ctx)
 
 
+LOCAL_RING_CASES = [*ORACLE_CASES, *(f"x^4/F{p}" for p in (2, 3, 5))]
+
+
+@pytest.mark.parametrize("case", LOCAL_RING_CASES)
+def test_local_radical_decides_indecomposability(case):
+    # End(M) is local iff no endomorphism is a Fitting splitter, on every
+    # indecomposable and every direct sum of two of them
+    if case in ORACLE_CASES:
+        indecs = oracle_case(case)[0].context.indecs
+    else:
+        indecs = indecomposables(truncated_polynomials(4, int(case.split("/F")[1])), 4)
+    sums = [X.direct_sum(Y) for X, Y in itertools.combinations_with_replacement(indecs, 2)]
+    for M in [*indecs, *sums]:
+        assert (_local_radical(M, hom(M, M)) is not None) == (not has_splitter(M)), (case, M.dims)
+    assert all(not has_splitter(M) for M in indecs)
+
+
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_semibrick_classes_match_bfs_oracle(case):
     TL, oracle = oracle_case(case)
@@ -310,7 +335,7 @@ def test_extension_middles_example(example_ctx):
     S1, S2 = example_ctx.indecs[idx["S1"]], example_ctx.indecs[idx["S2"]]
     P1 = example_ctx.indecs[idx["P1"]]
     mids = extension_middles(S1, S2)
-    assert len(mids) == 1 and modules_isomorphic(mids[0], P1) is not None
+    assert len(mids) == 1 and modules_isomorphic(mids[0], P1)
     assert extension_middles(S1, S1) == []
 
 
