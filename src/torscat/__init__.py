@@ -15,7 +15,6 @@ from .lattice import (
     FinLattice,
     NotALattice,
     all_congruences,
-    brute_force_congruences,
     congruence_lattice,
     forcing_poset,
     is_congruence_uniform,

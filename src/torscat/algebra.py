@@ -1288,46 +1288,6 @@ def decompose(M):
     return grouped
 
 
-def _coordinate_connected(dims, raw_mats, arrows):
-    """Connectivity of the coordinate graph linked by nonzero matrix entries.
-
-    Disconnected coordinates split the representation into a direct sum, so
-    False certifies decomposability (the converse does not hold).
-    """
-    offs = np.cumsum([0] + list(dims))
-    total = int(offs[-1])
-    if total == 0:
-        return False
-    parent = list(range(total))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m, a in zip(raw_mats, arrows):
-        for r, c in zip(*np.nonzero(m)):
-            ra, rb = find(int(offs[a.tgt]) + int(r)), find(int(offs[a.src]) + int(c))
-            if ra != rb:
-                parent[rb] = ra
-    root = find(0)
-    return all(find(x) == root for x in range(total))
-
-
-def is_indecomposable(M):
-    if M.is_zero():
-        return False
-    if M.total_dim == 1:
-        return True
-    if not _coordinate_connected(M.dims, [m.a for m in M.mats], M.algebra.arrows):
-        return False
-    ends = hom(M, M)
-    if len(ends) == 1:
-        return True
-    return _find_splitter(M, ends) is None
-
-
 def modules_isomorphic(M, N):
     """Whether M and N are isomorphic.
 

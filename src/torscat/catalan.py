@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattice import FinLattice, check_joins_are_unions
+from .lattice import FinLattice, check_joins_are_unions, check_size
 from .poset import Ideal, Poset, interval_poset, transitive_closure
 
 __all__ = [
@@ -208,11 +208,13 @@ def tamari_lattice(n):
 
     The order is the transitive closure of the rotation covers;
     ``from_order`` checks that the principal down-sets are closed under
-    intersection with a greatest one.
+    intersection with a greatest one.  More than ``PAIRWISE_CAP`` trees
+    raise LimitExceeded before the closure is built.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     trees = sorted(binary_trees(n), key=tree_to_parens)
+    check_size(len(trees))
     index = {t: i for i, t in enumerate(trees)}
     up = transitive_closure([sum(1 << index[t2] for t2 in _rotations_up(t)) for t in trees])
     return FinLattice.from_order(up, labels=[tree_to_parens(t) for t in trees])

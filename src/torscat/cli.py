@@ -159,7 +159,7 @@ def cmd_verify(args):
         _emit(args, lines, {"target": "example", "status": "PASS", **rep})
         return EXIT_OK
     if target == "thm1":
-        n = args.n or 3
+        n = 3 if args.n is None else args.n
         rep = verify_dyck_omega_iso(n, via="engine" if n <= 4 else "simples", dim_bound=args.dim_bound)
         lines = [f"thm1 n={n}: PASS (both lattices have {rep['dyck_size']} elements)"]
         if "engine_size" in rep:
@@ -167,7 +167,7 @@ def cmd_verify(args):
         _emit(args, lines, {"target": "thm1", "status": "PASS", **rep})
         return EXIT_OK
     if target == "thm2":
-        n = args.n or 3
+        n = 3 if args.n is None else args.n
         rep = verify_tamari_congruence_iso(n)
         lines = [
             f"thm2 n={n}: PASS",

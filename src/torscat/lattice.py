@@ -17,13 +17,12 @@ __all__ = [
     "NotALattice",
     "VerificationFailed",
     "FinLattice",
+    "check_size",
     "check_joins_are_unions",
     "Congruence",
     "principal_congruence",
-    "congruence_join",
     "all_congruences",
     "congruence_lattice",
-    "brute_force_congruences",
     "forcing_poset",
     "is_congruence_uniform",
     "lattice_isomorphic",
@@ -32,6 +31,12 @@ __all__ = [
 
 # The pairwise intersection check of from_sets takes n^2/2 steps: 33.5M at this cap.
 PAIRWISE_CAP = 8192
+
+
+def check_size(n):
+    """Raise LimitExceeded for a lattice of more than ``PAIRWISE_CAP`` elements."""
+    if n > PAIRWISE_CAP:
+        raise LimitExceeded(f"lattice of {n} elements exceeds the cap of {PAIRWISE_CAP} elements")
 
 
 class NotALattice(Exception):
@@ -77,8 +82,7 @@ class FinLattice:
         """
         masks = [int(m) for m in masks]
         n = len(masks)
-        if n > PAIRWISE_CAP:
-            raise LimitExceeded(f"lattice of {n} elements exceeds the cap of {PAIRWISE_CAP} elements")
+        check_size(n)
         if n == 0:
             raise NotALattice(None, None, "bottom (empty order)")
         index = {m: i for i, m in enumerate(masks)}
@@ -325,65 +329,6 @@ class Congruence:
         return "Congruence(" + "|".join(",".join(map(str, blk)) for blk in self.blocks()) + ")"
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-    def to_congruence(self):
-        first = {}
-        return Congruence([first.setdefault(self.find(i), i) for i in range(len(self.parent))])
-
-
-def principal_congruence(L, a, b):
-    """Smallest congruence of L identifying a and b.
-
-    Union-find fixpoint: whenever x ~ y is merged, (x^c, y^c) and
-    (x v c, y v c) are merged for every c.
-    """
-    n = L.n
-    uf = _UnionFind(n)
-    queue = []
-    if uf.union(a, b):
-        queue.append((a, b))
-    while queue:
-        x, y = queue.pop()
-        for op in (L.meet, L.join):
-            for c in range(n):
-                u, v = op(x, c), op(y, c)
-                if uf.find(u) != uf.find(v):
-                    uf.union(u, v)
-                    queue.append((u, v))
-    return uf.to_congruence()
-
-
-def congruence_join(c1, c2):
-    """Join in the congruence lattice = transitive closure of the union."""
-    n = c1.n
-    uf = _UnionFind(n)
-    for i in range(n):
-        uf.union(i, c1.block[i])
-        uf.union(i, c2.block[i])
-    return uf.to_congruence()
-
-
 def _congruence_sort_key(c):
     return (-c.num_blocks(), c.block)
 
@@ -422,6 +367,24 @@ def _collapse(sig, S):
     return Congruence([first.setdefault(m & ~S, x) for x, m in enumerate(sig)])
 
 
+def _generated(below, sig, x, y):
+    """The join-irreducibles that con(x, y) collapses, for x <= y.
+
+    con(x, y) is the join of the con(j_*, j) over the j <= y with j not
+    <= x, so it collapses their D*-down-closure.
+    """
+    S = 0
+    for t in bits(sig[y] & ~sig[x]):
+        S |= below[t]
+    return S
+
+
+def principal_congruence(L, a, b):
+    """Smallest congruence of L identifying a and b: con(a ^ b, a v b), read off D*."""
+    below, sig = _dependency(L)
+    return _collapse(sig, _generated(below, sig, L.meet(a, b), L.join(a, b)))
+
+
 def all_congruences(L):
     """Every congruence of L: one per D*-down-set of join-irreducibles (FJN Thm 2.35)."""
     below, sig = _dependency(L)
@@ -447,59 +410,6 @@ def congruence_lattice(L):
     return FinLattice.from_sets(apart, labels)
 
 
-def _set_partitions(n):
-    """Restricted-growth strings: every partition of {0..n-1} as a block-id list."""
-    if n == 0:
-        yield []
-        return
-    a = [0] * n
-    while True:
-        yield list(a)
-        j = n - 1
-        while j > 0 and a[j] > max(a[:j]):
-            j -= 1
-        if j == 0:
-            return
-        a[j] += 1
-        for k in range(j + 1, n):
-            a[k] = 0
-
-
-def brute_force_congruences(L):
-    """Oracle: filter all set partitions for meet/join compatibility.
-
-    Only sensible for small lattices (|L| <= 9 or so).
-    """
-    if L.n > 10:
-        raise ValueError("brute force congruence oracle limited to |L| <= 10")
-    n = L.n
-    M = [[L.meet(x, c) for c in range(n)] for x in range(n)]
-    J = [[L.join(x, c) for c in range(n)] for x in range(n)]
-    out = []
-    for rgs in _set_partitions(n):
-        ok = True
-        for x in range(n):
-            for y in range(x + 1, n):
-                if rgs[x] != rgs[y]:
-                    continue
-                for c in range(n):
-                    if rgs[M[x][c]] != rgs[M[y][c]] or rgs[J[x][c]] != rgs[J[y][c]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            first = {}
-            canon = []
-            for i, b in enumerate(rgs):
-                first.setdefault(b, i)
-                canon.append(first[b])
-            out.append(Congruence(canon))
-    return sorted(set(out), key=_congruence_sort_key)
-
-
 def forcing_poset(L):
     """Join-irreducible congruences of L ordered by refinement.
 
@@ -513,10 +423,7 @@ def forcing_poset(L):
     below, sig = _dependency(L)
     gen = {}
     for a, b in L.cover_pairs():
-        S = 0
-        for t in bits(sig[b] & ~sig[a]):
-            S |= below[t]
-        gen.setdefault(S, (a, b))
+        gen.setdefault(_generated(below, sig, a, b), (a, b))
     ji = sorted(set(below), key=lambda S: _congruence_sort_key(_collapse(sig, S)))
     up = [sum(1 << j for j, T in enumerate(ji) if S & ~T == 0) for S in ji]
     labels = ["cg({},{})".format(*gen[S]) for S in ji]

@@ -15,7 +15,6 @@ where a brick label needs a filtration test (``filt_mask``).
 
 from __future__ import annotations
 
-import itertools
 import time
 
 import numpy as np
@@ -24,8 +23,6 @@ from .algebra import (
     _isomorphic_indecomposables,
     decompose,
     ext,
-    ext1_space,
-    extension_middle,
     hom,
     injective_envelope,
     projective_cover,
@@ -68,7 +65,6 @@ __all__ = [
     "is_cohereditary",
     "is_split",
     "is_serre",
-    "extension_middles",
     "omega_lattice_via_simples",
     "omega_lattice_from_digraph",
     "verify_dyck_omega_iso",
@@ -621,28 +617,6 @@ def is_serre(ctx, mask):
     dims = [m.dims for m in ctx.indecs]
     simple = {v for i in bits(mask) if sum(dims[i]) == 1 for v, d in enumerate(dims[i]) if d}
     return mask == sum(1 << j for j, dv in enumerate(dims) if all(v in simple for v, d in enumerate(dv) if d))
-
-
-def extension_middles(X, Y):
-    """Middle terms of all nonzero classes in Ext^1(X, Y), built from cocycles.
-
-    Each class is a nonzero combination of coset representatives of the
-    cocycles modulo the boundaries (``ext1_space``); ``extension_middle``
-    builds its pushout.
-    """
-    cocycles, boundaries = ext1_space(X, Y)
-    p = X.algebra.p
-    reps = []
-    span = boundaries
-    for row in cocycles.basis:
-        if not span.contains_vector(row):
-            reps.append(row.astype(np.int64))
-            span = span + Subspace.from_rows([row], cocycles.ambient, p)
-    return [
-        extension_middle(X, Y, sum(c * row for c, row in zip(coeffs, reps)) % p)
-        for coeffs in itertools.product(range(p), repeat=len(reps))
-        if any(coeffs)
-    ]
 
 
 # -- the omega lattice via simples ---------------------------------------------

@@ -11,19 +11,36 @@ class, and the hereditary, cohereditary and Serre tests over the types of
 all submodules and quotients.  It shares no trace, submodule or closure
 code with ``ModuleContext``; it uses only ``hom``,
 ``Module.all_submodules``/``sub``/``quotient`` and the context's
-``identify_mask``.
+``identify_mask``.  ``extension_middles`` builds the middle term of every
+nonzero class in Ext^1(X, Y), for the audit that torsion classes are closed
+under extensions.
 
 ``orbit_indecomposables`` lists the indecomposables the way the package did
 before it knitted the Auslander-Reiten quiver: per dimension vector up to a
 bound, an orbit search over the base-change groups GL_d(F_p), keeping the
-representatives that pass the Fitting test.  Its cost grows like p^(d^2),
-so it is capped, and its list is complete only up to the bound.
+representatives that pass the Fitting test ``is_indecomposable``.  Its cost
+grows like p^(d^2), so it is capped, and its list is complete only up to
+the bound.
 
 ``search_isomorphism`` finds an isomorphism by trying every element of a
 Hom basis's span, the way the package did before it matched indecomposable
-summands; ``has_splitter`` tries every endomorphism for a Fitting split.
-Both are exponential in the Hom dimension and share no code with the
-local-ring certificate the package decides indecomposability with.
+summands; ``has_splitter`` tries every endomorphism for a Fitting split,
+and ``is_indecomposable`` is its negation behind two cheap filters.  They
+are exponential in the Hom dimension and share no code with the local-ring
+certificate the package decides indecomposability with.
+
+The lattice oracles compute congruences on partitions, not on the D*
+order of the join-irreducibles the package reads them from:
+``principal_congruence`` is a union-find fixpoint over meets and joins,
+``congruence_join`` the transitive closure of two partitions, and
+``brute_force_congruences`` filters every set partition of a small lattice.
+The ``cover_pair_*`` routes build the congruences, the congruence lattice,
+the forcing poset and congruence uniformity from the principal congruences
+of the cover pairs.  ``sweep_is_distributive`` and
+``sweep_is_semidistributive`` test the laws on every triple of the dense
+meet and join tables.
+
+Nothing here imports a private name of ``torscat``.
 """
 
 import functools
@@ -33,9 +50,19 @@ import operator
 
 import numpy as np
 
-from torscat.algebra import EndTooLarge, LimitExceeded, Module, ModuleMap, hom, hom_dim, is_indecomposable
+from torscat.algebra import (
+    EndTooLarge,
+    LimitExceeded,
+    Module,
+    ModuleMap,
+    ext1_space,
+    extension_middle,
+    hom,
+    hom_dim,
+)
+from torscat.lattice import Congruence, FinLattice
 from torscat.linalg import Matrix, Subspace, solve
-from torscat.poset import bits
+from torscat.poset import Poset, bits
 
 
 class RrefTorsion:
@@ -138,6 +165,28 @@ class RrefTorsion:
         return found
 
 
+def extension_middles(X, Y):
+    """Middle terms of all nonzero classes in Ext^1(X, Y), built from cocycles.
+
+    Each class is a nonzero combination of coset representatives of the
+    cocycles modulo the boundaries (``ext1_space``); ``extension_middle``
+    builds its pushout.
+    """
+    cocycles, boundaries = ext1_space(X, Y)
+    p = X.algebra.p
+    reps = []
+    span = boundaries
+    for row in cocycles.basis:
+        if not span.contains_vector(row):
+            reps.append(row.astype(np.int64))
+            span = span + Subspace.from_rows([row], cocycles.ambient, p)
+    return [
+        extension_middle(X, Y, sum(c * row for c, row in zip(coeffs, reps)) % p)
+        for coeffs in itertools.product(range(p), repeat=len(reps))
+        if any(coeffs)
+    ]
+
+
 # -- indecomposables by orbit search ---------------------------------------------
 
 
@@ -234,6 +283,44 @@ def _connected_support(dvec, adj):
                 seen.add(w)
                 stack.append(w)
     return seen == sup
+
+
+def _coordinate_connected(dims, raw_mats, arrows):
+    """Connectivity of the coordinate graph linked by nonzero matrix entries.
+
+    Disconnected coordinates split the representation into a direct sum, so
+    False certifies decomposability (the converse does not hold).
+    """
+    offs = np.cumsum([0] + list(dims))
+    total = int(offs[-1])
+    if total == 0:
+        return False
+    parent = list(range(total))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for m, a in zip(raw_mats, arrows):
+        for r, c in zip(*np.nonzero(m)):
+            ra, rb = find(int(offs[a.tgt]) + int(r)), find(int(offs[a.src]) + int(c))
+            if ra != rb:
+                parent[rb] = ra
+    root = find(0)
+    return all(find(x) == root for x in range(total))
+
+
+def is_indecomposable(M):
+    """Fitting's test: M is indecomposable iff it is nonzero and no endomorphism splits it."""
+    if M.is_zero():
+        return False
+    if M.total_dim == 1:
+        return True
+    if not _coordinate_connected(M.dims, [m.a for m in M.mats], M.algebra.arrows):
+        return False
+    return not has_splitter(M)
 
 
 def orbit_indecomposables(A, dim_bound=2, group_cap=2_000_000):
@@ -411,3 +498,244 @@ def has_splitter(M):
                 if 0 < rank < n:
                     return True
     return False
+
+
+# -- lattice congruences on partitions -------------------------------------------
+
+
+def sort_key(c):
+    """The order ``all_congruences`` lists congruences in: finest first."""
+    return (-c.num_blocks(), c.block)
+
+
+class _UnionFind:
+    __slots__ = ("parent",)
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if ra > rb:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+    def to_congruence(self):
+        first = {}
+        return Congruence([first.setdefault(self.find(i), i) for i in range(len(self.parent))])
+
+
+def principal_congruence(L, a, b):
+    """Smallest congruence of L identifying a and b.
+
+    Union-find fixpoint: whenever x ~ y is merged, (x^c, y^c) and
+    (x v c, y v c) are merged for every c.
+    """
+    n = L.n
+    uf = _UnionFind(n)
+    queue = []
+    if uf.union(a, b):
+        queue.append((a, b))
+    while queue:
+        x, y = queue.pop()
+        for op in (L.meet, L.join):
+            for c in range(n):
+                u, v = op(x, c), op(y, c)
+                if uf.find(u) != uf.find(v):
+                    uf.union(u, v)
+                    queue.append((u, v))
+    return uf.to_congruence()
+
+
+def congruence_join(c1, c2):
+    """Join in the congruence lattice = transitive closure of the union."""
+    n = c1.n
+    uf = _UnionFind(n)
+    for i in range(n):
+        uf.union(i, c1.block[i])
+        uf.union(i, c2.block[i])
+    return uf.to_congruence()
+
+
+def _set_partitions(n):
+    """Restricted-growth strings: every partition of {0..n-1} as a block-id list."""
+    if n == 0:
+        yield []
+        return
+    a = [0] * n
+    while True:
+        yield list(a)
+        j = n - 1
+        while j > 0 and a[j] > max(a[:j]):
+            j -= 1
+        if j == 0:
+            return
+        a[j] += 1
+        for k in range(j + 1, n):
+            a[k] = 0
+
+
+def brute_force_congruences(L):
+    """Oracle: filter all set partitions for meet/join compatibility.
+
+    Only sensible for small lattices (|L| <= 9 or so).
+    """
+    if L.n > 10:
+        raise ValueError("brute force congruence oracle limited to |L| <= 10")
+    n = L.n
+    M = [[L.meet(x, c) for c in range(n)] for x in range(n)]
+    J = [[L.join(x, c) for c in range(n)] for x in range(n)]
+    out = []
+    for rgs in _set_partitions(n):
+        ok = True
+        for x in range(n):
+            for y in range(x + 1, n):
+                if rgs[x] != rgs[y]:
+                    continue
+                for c in range(n):
+                    if rgs[M[x][c]] != rgs[M[y][c]] or rgs[J[x][c]] != rgs[J[y][c]]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            first = {}
+            canon = []
+            for i, b in enumerate(rgs):
+                first.setdefault(b, i)
+                canon.append(first[b])
+            out.append(Congruence(canon))
+    return sorted(set(out), key=sort_key)
+
+
+# -- the cover-pair congruence route ---------------------------------------------
+
+# memoised: the cover-pair routes ask for the same principal congruences
+# several times, and several tests build the same lattices
+_cover_principal = functools.cache(principal_congruence)
+
+
+def cover_pair_all_congruences(L):
+    """Every congruence of L, via join-closure of cover principal congruences."""
+    principals = set()
+    for a, b in L.cover_pairs():
+        principals.add(_cover_principal(L, a, b))
+    discrete = Congruence(range(L.n))
+    found = {discrete} | principals
+    frontier = list(found)
+    while frontier:
+        theta = frontier.pop()
+        for g in principals:
+            j = congruence_join(theta, g)
+            if j not in found:
+                found.add(j)
+                frontier.append(j)
+    return sorted(found, key=sort_key)
+
+
+def cover_pair_congruence_lattice(L):
+    congs = cover_pair_all_congruences(L)
+    k = len(congs)
+    up = [0] * k
+    for i, ci in enumerate(congs):
+        for j, cj in enumerate(congs):
+            if cj.refines(ci):
+                up[i] |= 1 << j
+    labels = ["|".join(",".join(map(str, blk)) for blk in c.blocks()) for c in congs]
+    return FinLattice.from_order(up, labels=labels)
+
+
+def cover_pair_join_irreducible_principals(L):
+    """Join-irreducible congruences with a generating cover for labelling."""
+    gen = {}
+    for a, b in L.cover_pairs():
+        c = _cover_principal(L, a, b)
+        gen.setdefault(c, (a, b))
+    cands = sorted(gen, key=sort_key)
+    discrete = Congruence(range(L.n))
+    ji = []
+    for theta in cands:
+        acc = discrete
+        for sigma in cands:
+            if sigma != theta and sigma.refines(theta):
+                acc = congruence_join(acc, sigma)
+        if acc != theta:
+            ji.append(theta)
+    return ji, gen
+
+
+def cover_pair_forcing_poset(L):
+    ji, gen = cover_pair_join_irreducible_principals(L)
+    up = [0] * len(ji)
+    for i, ci in enumerate(ji):
+        for j, cj in enumerate(ji):
+            if ci.refines(cj):
+                up[i] |= 1 << j
+    labels = ["cg({},{})".format(*gen[c]) for c in ji]
+    return Poset(labels, up)
+
+
+def cover_pair_is_congruence_uniform(L):
+    """Both irreducible-element maps j -> cg(j*, j) biject onto JI congruences."""
+    ji_congs, _ = cover_pair_join_irreducible_principals(L)
+    ji_set = set(ji_congs)
+
+    for pairs in (
+        [(low, x) for x, low in L.join_irreducibles()],
+        [(x, upp) for x, upp in L.meet_irreducibles()],
+    ):
+        images = [_cover_principal(L, a, b) for a, b in pairs]
+        if len(set(images)) != len(images):
+            return False
+        if set(images) != ji_set:
+            return False
+    return True
+
+
+# -- lattice predicates by sweeps over the tables --------------------------------
+
+
+def tables(L):
+    """Dense meet and join tables of L, read off its methods, for the sweep oracles."""
+    meet = np.array([[L.meet(a, b) for b in range(L.n)] for a in range(L.n)], dtype=np.int32)
+    join = np.array([[L.join(a, b) for b in range(L.n)] for a in range(L.n)], dtype=np.int32)
+    return meet, join
+
+
+def sweep_is_distributive(L):
+    """Oracle: a ^ (b v c) == (a ^ b) v (a ^ c) over every triple of the tables."""
+    M, J = tables(L)
+    for a in range(L.n):
+        lhs = M[a][J]
+        ma = M[a]
+        rhs = J[ma[:, None], ma[None, :]]
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
+def sweep_is_semidistributive(L):
+    """Oracle: a v b == a v c implies a v (b ^ c) == a v b, and dually, over every triple."""
+    M, J = tables(L)
+    for a in range(L.n):
+        ja = J[a]
+        eq = ja[:, None] == ja[None, :]
+        if not (~eq | (ja[M] == ja[:, None])).all():
+            return False
+        ma = M[a]
+        eq = ma[:, None] == ma[None, :]
+        if not (~eq | (ma[J] == ma[:, None])).all():
+            return False
+    return True

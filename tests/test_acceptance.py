@@ -6,6 +6,7 @@ Criterion 8 is the full-scale run and only executes when TORSCAT_EXTENDED=1.
 import time
 
 import pytest
+from oracles import brute_force_congruences
 
 from torscat.algebra import incidence_algebra, path_algebra_An
 from torscat.catalan import (
@@ -18,7 +19,6 @@ from torscat.catalan import (
 from torscat.lattice import (
     FinLattice,
     all_congruences,
-    brute_force_congruences,
     forcing_poset,
     lattice_isomorphic,
 )

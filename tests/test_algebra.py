@@ -349,6 +349,31 @@ def test_decompose_indecomposables(A):
         assert decompose(m) == [(m, 1)]
 
 
+def test_decompose_reaches_the_splitter_search_on_a_residue_field_past_f_p(monkeypatch):
+    # over the Kronecker quiver a, b: 1 -> 2, M = (I, B) with B = [[0,1],[1,1]]
+    # has End(M) = F_2[B] = F_4: local, so no endomorphism splits M, but its
+    # residue field is not F_2, so the local-ring certificate does not apply
+    # and the decision falls through to the search over all of End(M)
+    from torscat import algebra
+
+    K = Algebra.from_quiver(["1", "2"], [("a", 0, 1), ("b", 0, 1)], [], p=2)
+    M = Module(K, (2, 2), [Matrix.identity(2, 2), Matrix([[0, 1], [1, 1]], 2)])
+    assert hom_dim(M, M) == 2 and not oracles.has_splitter(M)
+    tries = []
+
+    def counted(X, mats):
+        tries.append(X.dims)
+        return try_split(X, mats)
+
+    try_split = algebra._try_split
+    monkeypatch.setattr(algebra, "_try_split", counted)
+    assert decompose(M) == [(M, 1)]
+    # two basis elements, one pairwise sum, then the one remaining element of F_2^2
+    assert tries == [(2, 2)] * 4
+    [(X, mult)] = decompose(M.direct_sum(M))
+    assert mult == 2 and oracles.search_isomorphism(X, M) is not None
+
+
 def test_decompose_summands_rebuild(A, mods):
     M = mods["P1"].direct_sum(mods["I1"], mods["S2"])
     parts = decompose(M)

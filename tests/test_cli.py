@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -90,6 +91,24 @@ def test_verify_thm1_engine_route_at_n4(capsys):
 def test_verify_thm2(capsys):
     code, out, _ = run(capsys, "verify", "thm2", "--n", "3")
     assert code == 0 and "PASS" in out
+
+
+@pytest.mark.parametrize("target", ["thm1", "thm2"])
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_verify_theorem_below_n2_is_a_usage_error(capsys, target, n):
+    # --n 0 is a value, not a missing option that defaults to 3
+    code, out, err = run(capsys, "verify", target, "--n", n)
+    assert (code, out) == (2, "")
+    assert err == "usage error: cannot parse input (need n >= 2)\n"
+
+
+def test_verify_thm2_past_the_lattice_cap_stops_before_the_order(capsys):
+    # Tamari_11 has 58,786 trees; the cap is checked before the transitive closure
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "verify", "thm2", "--n", "11")
+    assert (code, out) == (3, "")
+    assert err == "limit exceeded: lattice of 58786 elements exceeds the cap of 8192 elements\n"
+    assert time.monotonic() - t0 < 30
 
 
 def test_verify_prop_main(capsys):

@@ -1,9 +1,20 @@
-import functools
 import json
 import time
 
 import numpy as np
+import oracles
 import pytest
+from oracles import (
+    brute_force_congruences,
+    congruence_join,
+    cover_pair_all_congruences,
+    cover_pair_congruence_lattice,
+    cover_pair_forcing_poset,
+    cover_pair_is_congruence_uniform,
+    sweep_is_distributive,
+    sweep_is_semidistributive,
+    tables,
+)
 
 from torscat import torsion
 from torscat.algebra import LimitExceeded
@@ -15,9 +26,7 @@ from torscat.lattice import (
     NotALattice,
     VerificationFailed,
     all_congruences,
-    brute_force_congruences,
     check_joins_are_unions,
-    congruence_join,
     congruence_lattice,
     forcing_poset,
     is_congruence_uniform,
@@ -25,10 +34,6 @@ from torscat.lattice import (
     principal_congruence,
 )
 from torscat.poset import Poset, ideal_lattice, interval_poset, poset_isomorphic
-
-# memoised: the cover-pair oracles below ask for the same principal
-# congruences several times, and several tests build the same lattices
-principal_congruence = functools.cache(principal_congruence)
 
 
 def pentagon():
@@ -80,13 +85,6 @@ def corpus():
         )
         CORPUS = small
     return CORPUS
-
-
-def tables(L):
-    """Dense meet and join tables of L, read off its methods, for the sweep oracles."""
-    meet = np.array([[L.meet(a, b) for b in range(L.n)] for a in range(L.n)], dtype=np.int32)
-    join = np.array([[L.join(a, b) for b in range(L.n)] for a in range(L.n)], dtype=np.int32)
-    return meet, join
 
 
 def test_from_order_chain():
@@ -184,33 +182,6 @@ def test_check_joins_are_unions():
     assert err.value.data == {"a": "a", "b": "b"}
 
 
-def sweep_is_distributive(L):
-    """Oracle: a ^ (b v c) == (a ^ b) v (a ^ c) over every triple of the tables."""
-    M, J = tables(L)
-    for a in range(L.n):
-        lhs = M[a][J]
-        ma = M[a]
-        rhs = J[ma[:, None], ma[None, :]]
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
-
-
-def sweep_is_semidistributive(L):
-    """Oracle: a v b == a v c implies a v (b ^ c) == a v b, and dually, over every triple."""
-    M, J = tables(L)
-    for a in range(L.n):
-        ja = J[a]
-        eq = ja[:, None] == ja[None, :]
-        if not (~eq | (ja[M] == ja[:, None])).all():
-            return False
-        ma = M[a]
-        eq = ma[:, None] == ma[None, :]
-        if not (~eq | (ma[J] == ma[:, None])).all():
-            return False
-    return True
-
-
 def assert_predicates_match_sweeps(L):
     assert L.is_distributive() == sweep_is_distributive(L)
     assert L.is_semidistributive() == sweep_is_semidistributive(L)
@@ -293,6 +264,27 @@ def test_principal_congruence_pentagon_oracle():
         assert cg == best
 
 
+def assert_principal_congruences_match_union_find(L):
+    # every ordered pair: comparable, incomparable and equal
+    for a in range(L.n):
+        for b in range(L.n):
+            assert principal_congruence(L, a, b) == oracles.principal_congruence(L, a, b), (a, b)
+
+
+def test_principal_congruence_matches_union_find_on_corpus():
+    for L in corpus():
+        assert_principal_congruences_match_union_find(L)
+        assert_principal_congruences_match_union_find(L.opposite())
+
+
+@pytest.mark.parametrize("ground", [3, pytest.param(4, marks=pytest.mark.extended)])
+def test_principal_congruence_matches_union_find_on_moore_families(ground):
+    for members in moore_families(ground):
+        L = FinLattice.from_sets(members[::-1], [str(m) for m in members[::-1]])
+        assert_principal_congruences_match_union_find(L)
+        assert_principal_congruences_match_union_find(L.opposite())
+
+
 def test_congruence_lattice_sizes():
     assert congruence_lattice(chain(2)).n == 2
     assert congruence_lattice(tamari_lattice(3)).n == 5
@@ -364,88 +356,7 @@ def test_congruence_uniformity():
         assert is_congruence_uniform(tamari_lattice(n))
 
 
-# -- the cover-pair congruence route, kept as the oracle of the D-relation route
-
-
-def sort_key(c):
-    return (-c.num_blocks(), c.block)
-
-
-def cover_pair_all_congruences(L):
-    """Every congruence of L, via join-closure of cover principal congruences."""
-    principals = set()
-    for a, b in L.cover_pairs():
-        principals.add(principal_congruence(L, a, b))
-    discrete = Congruence(range(L.n))
-    found = {discrete} | principals
-    frontier = list(found)
-    while frontier:
-        theta = frontier.pop()
-        for g in principals:
-            j = congruence_join(theta, g)
-            if j not in found:
-                found.add(j)
-                frontier.append(j)
-    return sorted(found, key=sort_key)
-
-
-def cover_pair_congruence_lattice(L):
-    congs = cover_pair_all_congruences(L)
-    k = len(congs)
-    up = [0] * k
-    for i, ci in enumerate(congs):
-        for j, cj in enumerate(congs):
-            if cj.refines(ci):
-                up[i] |= 1 << j
-    labels = ["|".join(",".join(map(str, blk)) for blk in c.blocks()) for c in congs]
-    return FinLattice.from_order(up, labels=labels)
-
-
-def cover_pair_join_irreducible_principals(L):
-    """Join-irreducible congruences with a generating cover for labelling."""
-    gen = {}
-    for a, b in L.cover_pairs():
-        c = principal_congruence(L, a, b)
-        gen.setdefault(c, (a, b))
-    cands = sorted(gen, key=sort_key)
-    discrete = Congruence(range(L.n))
-    ji = []
-    for theta in cands:
-        acc = discrete
-        for sigma in cands:
-            if sigma != theta and sigma.refines(theta):
-                acc = congruence_join(acc, sigma)
-        if acc != theta:
-            ji.append(theta)
-    return ji, gen
-
-
-def cover_pair_forcing_poset(L):
-    ji, gen = cover_pair_join_irreducible_principals(L)
-    up = [0] * len(ji)
-    for i, ci in enumerate(ji):
-        for j, cj in enumerate(ji):
-            if ci.refines(cj):
-                up[i] |= 1 << j
-    labels = ["cg({},{})".format(*gen[c]) for c in ji]
-    return Poset(labels, up)
-
-
-def cover_pair_is_congruence_uniform(L):
-    """Both irreducible-element maps j -> cg(j*, j) biject onto JI congruences."""
-    ji_congs, _ = cover_pair_join_irreducible_principals(L)
-    ji_set = set(ji_congs)
-
-    for pairs in (
-        [(low, x) for x, low in L.join_irreducibles()],
-        [(x, upp) for x, upp in L.meet_irreducibles()],
-    ):
-        images = [principal_congruence(L, a, b) for a, b in pairs]
-        if len(set(images)) != len(images):
-            return False
-        if set(images) != ji_set:
-            return False
-    return True
+# -- the D* congruence route against the cover-pair oracles
 
 
 def assert_congruences_match_cover_pairs(L):

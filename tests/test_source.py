@@ -40,3 +40,18 @@ def test_tracer_targets_resolve(monkeypatch):
         if not callable(func) or inspect.isgeneratorfunction(func):
             unresolved.append(f"{t.module}.{t.attr}")
     assert len(tracer.TARGETS) > 40 and unresolved == []
+
+
+def test_oracles_import_no_private_name():
+    # an oracle that borrowed the package's internals would check them against
+    # themselves; a plain "import torscat" would hide torscat.x._y from this check
+    path = Path(__file__).with_name("oracles.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "torscat":
+            parts = node.module.split(".")[1:] + [alias.name for alias in node.names]
+            found += [f"{node.module}:{name}" for name in parts if name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "torscat"]
+    assert found == []

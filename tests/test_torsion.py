@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from oracles import RrefTorsion, has_splitter
+from oracles import RrefTorsion, extension_middles, has_splitter
 from test_algebra import truncated_polynomials
 
 from torscat import torsion
@@ -27,7 +27,6 @@ from torscat.torsion import (
     TorsionPair,
     VerificationFailed,
     enumerate_torsion_pairs,
-    extension_middles,
     free_closure,
     is_cohereditary,
     is_hereditary,
