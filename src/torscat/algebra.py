@@ -56,6 +56,9 @@ __all__ = [
     "decompose",
     "modules_isomorphic",
     "indecomposables",
+    "ARQuiver",
+    "ar_quiver",
+    "mesh_hom_dims",
     "global_dimension",
 ]
 
@@ -1493,6 +1496,16 @@ def _radical_summands(P):
     return [M for M, _ in decompose(P.sub(P.radical())[0])]
 
 
+ARQuiver = namedtuple("ARQuiver", ["tau", "tau_inverse", "middle", "projectives", "injectives"])
+ARQuiver.__doc__ = """The Auslander-Reiten data of an indecomposable list, by list index.
+
+``tau[i]`` and ``tau_inverse[i]`` are indices, or None for a projective and
+an injective; ``middle[i]`` maps each summand of the middle term of the
+almost split sequence ending at M_i to its multiplicity (empty when M_i is
+projective); ``projectives[v]`` and ``injectives[v]`` are P(v) and I(v).
+"""
+
+
 def indecomposables(A, dim_bound=2):
     """Every indecomposable module, by knitting the Auslander-Reiten quiver.
 
@@ -1517,13 +1530,20 @@ def indecomposables(A, dim_bound=2):
     Modules of one dimension vector are told apart by
     ``_isomorphic_indecomposables``, a test that needs no search.  The list
     is sorted by total dimension, dimension vector and the ranks of the
-    arrow matrices, none of which depends on a basis.
+    arrow matrices, none of which depends on a basis.  The translates and
+    middle terms found on the way are kept as an ``ARQuiver`` over the
+    list's indices (see ``ar_quiver``).
     """
     key = ("indecs", dim_bound)
     if key in A._cache:
         return A._cache[key]
     op = A.opposite()
-    found = {}  # dimension vector -> [M, tau M, tau^-1 M] for each M found, the translates once known
+    # dimension vector -> an entry [M, tau M, tau^-1 M, middle term] per module found; a
+    # translate is an entry (``zero`` for the zero module) or None until known, and the
+    # middle term of the almost split sequence ending at M is [(entry, multiplicity), ...],
+    # one entry per summand as ``decompose`` groups isomorphic summands
+    found = {}
+    zero = [Module.zero(A), None, None, None]
     queue = deque()
 
     def push(M, tau_M=None, tau_inverse_M=None):
@@ -1532,38 +1552,148 @@ def indecomposables(A, dim_bound=2):
                 f"an indecomposable with dimension vector {list(M.dims)} exceeds the dimension bound {dim_bound}"
             )
         same = found.setdefault(M.dims, [])
-        for entry in same:
-            if _isomorphic_indecomposables(M, entry[0]):
-                entry[1] = tau_M if entry[1] is None else entry[1]
-                entry[2] = tau_inverse_M if entry[2] is None else entry[2]
-                return
-        same.append([M, tau_M, tau_inverse_M])
-        queue.append(same[-1])
+        entry = next((e for e in same if _isomorphic_indecomposables(M, e[0])), None)
+        if entry is None:
+            entry = [M, None, None, None]
+            same.append(entry)
+            queue.append(entry)
+        entry[1] = tau_M if entry[1] is None else entry[1]
+        entry[2] = tau_inverse_M if entry[2] is None else entry[2]
+        return entry
 
-    zero = Module.zero(A)
-    for v in range(A.n_vertices):
-        push(A.projective(v), tau_M=zero)
-        push(A.injective(v), tau_inverse_M=zero)
+    projectives = [push(A.projective(v), tau_M=zero) for v in range(A.n_vertices)]
+    injectives = [push(A.injective(v), tau_inverse_M=zero) for v in range(A.n_vertices)]
     for v in range(A.n_vertices):
         for M in _radical_summands(A.projective(v)):
             push(M)
         for M in _radical_summands(op.projective(v)):  # I(v)/soc I(v) = D rad P_op(v)
             push(M.dual())
     while queue:
-        X, tau_X, tau_inverse_X = queue.popleft()
-        Z = tau_inverse(X) if tau_inverse_X is None else tau_inverse_X
-        if not Z.is_zero():
-            if tau_inverse_X is None:
-                push(Z, tau_M=X)
-            for M, _ in decompose(_almost_split_middle(X, Z)):
-                push(M)
-        if tau_X is None:
+        entry = queue.popleft()
+        X = entry[0]
+        if entry[2] is None:
+            Z = tau_inverse(X)
+            entry[2] = zero if Z.is_zero() else push(Z, tau_M=entry)
+        if entry[2] is not zero:
+            Z = entry[2]
+            Z[3] = [(push(M), mult) for M, mult in decompose(_almost_split_middle(X, Z[0]))]
+        if entry[1] is None:
             Y = tau(X)
-            if not Y.is_zero():
-                push(Y, tau_inverse_M=X)
-    out = sorted(
-        (entry[0] for same in found.values() for entry in same),
-        key=lambda M: (M.total_dim, M.dims, tuple(m.rank() for m in M.mats)),
+            entry[1] = zero if Y.is_zero() else push(Y, tau_inverse_M=entry)
+    entries = sorted(
+        (entry for same in found.values() for entry in same),
+        key=lambda e: (e[0].total_dim, e[0].dims, tuple(m.rank() for m in e[0].mats)),
     )
+    index = {id(e): i for i, e in enumerate(entries)}
+    A._cache[("ar", dim_bound)] = ARQuiver(
+        tau=tuple(index.get(id(e[1])) for e in entries),
+        tau_inverse=tuple(index.get(id(e[2])) for e in entries),
+        middle=tuple({index[id(summand)]: mult for summand, mult in e[3] or ()} for e in entries),
+        projectives=tuple(index[id(e)] for e in projectives),
+        injectives=tuple(index[id(e)] for e in injectives),
+    )
+    out = [e[0] for e in entries]
     A._cache[key] = out
     return out
+
+
+def ar_quiver(A, dim_bound=2):
+    """The ``ARQuiver`` that ``indecomposables(A, dim_bound)`` knits, over its list."""
+    indecomposables(A, dim_bound)
+    return A._cache[("ar", dim_bound)]
+
+
+def _fraction_free_solve(rows, rhs):
+    """Solve rows @ X = rhs exactly over Q, by Gauss-Jordan elimination in Z.
+
+    Each step replaces a row by an integer combination of itself and the
+    pivot row, divided by its content, so no fraction arises.  Returns
+    [(d, b), ...] with d * X[c] = b for each column c, or None if rows is
+    singular.
+    """
+    from math import gcd
+
+    n = len(rows)
+    aug = [list(r) + list(b) for r, b in zip(rows, rhs)]
+    pivots, free = [], set(range(n))
+    for c in range(n):
+        r = min((r for r in free if aug[r][c]), key=lambda r: abs(aug[r][c]), default=None)
+        if r is None:
+            return None
+        free.remove(r)
+        pivots.append(r)
+        pivot, pc = aug[r], aug[r][c]
+        for j, row in enumerate(aug):
+            a = row[c]
+            if j == r or not a:
+                continue
+            g = gcd(pc, a)
+            s, t = pc // g, a // g
+            row = [s * x - t * y for x, y in zip(row, pivot)]
+            if s not in (1, -1):
+                g = gcd(*row)
+                row = [x // g for x in row] if g > 1 else row
+            aug[j] = row
+    return [(aug[r][c], aug[r][n:]) for c, r in enumerate(pivots)]
+
+
+def mesh_hom_dims(indecs, ar):
+    """dim Hom(M_i, M_j) over a knitted list, from its AR quiver; None when
+    the Cartan matrix of the algebra is singular.
+
+    dim Hom(P(v), Y) = (dim Y)_v.  For a non-projective Z with almost split
+    sequence 0 -> X -> E -> Z -> 0, Hom(-, Y) is exact on 0 -> Hom(Z, Y) ->
+    Hom(E, Y) -> Hom(X, Y), and the last map has image rad(X, Y), so its
+    cokernel is 0 unless Y = X, and End(X)/rad End(X) = F_p then, which
+    the knitting certifies.  Hence h(Z, -) = sum mult h(E_i, -) - h(X, -)
+    + [- = X]: one k x k integer system, solved exactly over Q.
+
+    Its determinant is +-det Cartan(A).  The system reads M H = B, where H,
+    the table itself, is the Cartan matrix of the Auslander algebra, which
+    has finite global dimension and so det H = +-1.  B has the unit row
+    at tau Z for each non-projective Z, and h(P(v), -) for each v;
+    expanding det B along the unit rows, which miss exactly the columns of
+    the injectives, leaves h(P(v), I(w)), the Cartan matrix of A.  So the
+    system need not be unimodular (F_p[x]/(x^4) gives 4), and it is
+    singular exactly when Cartan(A) is, as for the two-cycle with rad^2 =
+    0 (rank 3 of 4).  Then None is returned and Hom has to be solved pair
+    by pair.
+
+    The solution is certified: every entry is an integer >= 0, h(X, X) >= 1,
+    and h(X, I(v)) = (dim X)_v for every X and v, an identity on columns
+    that no row states.  A failure raises AlgebraError.
+    """
+    k, dims = len(indecs), [M.dims for M in indecs]
+    cartan = [list(dims[i]) for i in ar.projectives]
+    if _fraction_free_solve(cartan, [[] for _ in cartan]) is None:
+        return None
+    vertex_of = {i: v for v, i in enumerate(ar.projectives)}
+    rows, rhs = [], []
+    for z in range(k):
+        row, b = [0] * k, [0] * k
+        row[z] = 1
+        if z in vertex_of:
+            b = [d[vertex_of[z]] for d in dims]
+        elif ar.tau[z] is None or not ar.middle[z]:
+            raise AlgebraError(f"mesh certificate fails: no almost split sequence ends at M_{z}")
+        else:
+            for e, mult in ar.middle[z].items():
+                row[e] -= mult
+            row[ar.tau[z]] += 1
+            b[ar.tau[z]] = 1
+        rows.append(row)
+        rhs.append(b)
+    solved = _fraction_free_solve(rows, rhs)
+    if solved is None:
+        raise AlgebraError("mesh certificate fails: the mesh system is singular but the Cartan matrix is not")
+    table = []
+    for i, (d, b) in enumerate(solved):
+        if any(x % d for x in b):
+            raise AlgebraError(f"mesh certificate fails: a Hom dimension out of M_{i} is not an integer")
+        row = [x // d for x in b]
+        if min(row) < 0 or row[i] < 1:
+            raise AlgebraError(f"mesh certificate fails: Hom dimensions out of M_{i} are {row}")
+        if [row[j] for j in ar.injectives] != list(dims[i]):
+            raise AlgebraError(f"mesh certificate fails: Hom(M_{i}, I(v)) is not (dim M_{i})_v")
+        table.append(row)
+    return table

@@ -104,7 +104,7 @@ def cmd_catalan(args):
         "size": L.n,
         "distributive": bool(L.is_distributive()),
         "semidistributive": bool(L.is_semidistributive()),
-        "lattice": L.to_json(),
+        "lattice": L.to_json() if args.json else None,
         "dot": L.to_dot(name=args.kind) if args.dot else None,
         **extra,
     }
@@ -134,7 +134,7 @@ def cmd_omega(args):
         "n_pred": args.n_pred,
         "size": L.n,
         "distributive": bool(L.is_distributive()),
-        "lattice": L.to_json(),
+        "lattice": L.to_json() if args.json else None,
         "dot": L.to_dot(name="omega") if args.dot else None,
         "route": route,
     }
@@ -236,7 +236,7 @@ def cmd_tors(args):
     A = parse_algebra_spec(args.algebra, p=args.field, opposite=args.op)
     ctx = ModuleContext.for_algebra(A, args.dim_bound)
     TL = enumerate_torsion_pairs(ctx, class_cap=args.cap, time_budget=args.budget)
-    rep = torsion_lattice_report(TL)
+    rep = torsion_lattice_report(TL, order=args.json)
     counts = {
         "classes": TL.n,
         "indecomposables": ctx.k,

@@ -21,11 +21,11 @@ import numpy as np
 
 from .algebra import (
     _isomorphic_indecomposables,
+    ar_quiver,
     decompose,
-    ext,
     hom,
-    injective_envelope,
-    projective_cover,
+    hom_dim,
+    mesh_hom_dims,
     syzygy,
     cosyzygy,
     indecomposables,
@@ -94,13 +94,19 @@ class UnknownIndecomposable(TorsionError):
 class ModuleContext:
     """An algebra with its full indecomposable list and cached invariant tables.
 
-    All tables are derived lazily and cached; the context is effectively
-    immutable and safe for concurrent read use once warmed.
+    ``ar`` is the list's ``ARQuiver``, which ``for_algebra`` takes from the
+    knitting.  The Hom table is read off its mesh relations, and the cover,
+    envelope and Ext tables off the Hom table, the dimension vectors and
+    one syzygy per module; a context built from a list of its own, with no
+    ``ar``, solves one Hom system per pair instead.  All tables are derived
+    lazily and cached; the context is effectively immutable and safe for
+    concurrent read use once warmed.
     """
 
-    def __init__(self, algebra, indecs):
+    def __init__(self, algebra, indecs, ar=None):
         self.algebra = algebra
         self.indecs = tuple(indecs)
+        self.ar = ar
         self.k = len(self.indecs)
         self.all_mask = (1 << self.k) - 1
         self._t = {}
@@ -108,23 +114,28 @@ class ModuleContext:
 
     @classmethod
     def for_algebra(cls, algebra, dim_bound=2):
-        return cls(algebra, indecomposables(algebra, dim_bound))
+        return cls(algebra, indecomposables(algebra, dim_bound), ar_quiver(algebra, dim_bound))
 
     # -- naming --------------------------------------------------------------
+
+    def vertex_types(self):
+        """{"S": ..., "P": ..., "I": ...}: the index of S(v), P(v) and I(v) for each vertex v."""
+        if "vt" not in self._t:
+            A = self.algebra
+            self._t["vt"] = {
+                prefix: tuple(self.index_of(module(v)) for v in range(A.n_vertices))
+                for prefix, module in (("S", A.simple), ("P", A.projective), ("I", A.injective))
+            }
+        return self._t["vt"]
 
     def names(self):
         if "names" not in self._t:
             A = self.algebra
-            kinds = (("S", A.simple), ("P", A.projective), ("I", A.injective))
-
-            def name_of(m):
-                for prefix, module in kinds:
-                    for v in range(A.n_vertices):
-                        if _isomorphic_indecomposables(m, module(v)):
-                            return f"{prefix}{A.vlabels[v]}"
-                return "M" + "".join(str(d) for d in m.dims)
-
-            names = [name_of(m) for m in self.indecs]
+            names = ["M" + "".join(str(d) for d in m.dims) for m in self.indecs]
+            # written in reverse, so S wins over P and I, and a lower vertex over a higher
+            for prefix, types in reversed(self.vertex_types().items()):
+                for v in reversed(range(A.n_vertices)):
+                    names[types[v]] = f"{prefix}{A.vlabels[v]}"
             # disambiguate duplicates deterministically
             seen = {}
             out = []
@@ -141,18 +152,17 @@ class ModuleContext:
     # -- basic tables ----------------------------------------------------------
 
     def hom_table(self):
+        """dim Hom(M_i, M_j), from ``mesh_hom_dims`` on the AR quiver.
+
+        Without AR data, or when the Cartan matrix of the algebra is
+        singular and the mesh system with it (see ``mesh_hom_dims``), each
+        entry is the dimension of a solved Hom system.
+        """
         if "hom" not in self._t:
-            k = self.k
-            tab = np.zeros((k, k), dtype=np.int16)
-            basis = {}
-            for i in range(k):
-                for j in range(k):
-                    H = hom(self.indecs[i], self.indecs[j])
-                    tab[i, j] = len(H)
-                    if H:
-                        basis[(i, j)] = H
-            self._t["hom"] = tab
-            self._t["hom_basis"] = basis
+            tab = mesh_hom_dims(self.indecs, self.ar) if self.ar is not None else None
+            if tab is None:
+                tab = [[hom_dim(X, Y) for Y in self.indecs] for X in self.indecs]
+            self._t["hom"] = np.array(tab, dtype=np.int16).reshape(self.k, self.k)
         return self._t["hom"]
 
     def hom_out(self, i):
@@ -182,12 +192,18 @@ class ModuleContext:
         into it: per vertex, the row space of the images of a Hom basis."""
         key = ("trace", j, mask & self.hom_in(j))
         if key not in self._t:
-            H = [f for i in bits(key[2]) for f in self._t["hom_basis"][(i, j)]]
+            H = [f for i in bits(key[2]) for f in self._hom_basis(i, j)]
             p = self.algebra.p
             self._t[key] = tuple(
                 Subspace.from_rows(np.vstack([f.mats[v].a.T for f in H]), d, p) if H else Subspace.zero(d, p)
                 for v, d in enumerate(self.indecs[j].dims)
             )
+        return self._t[key]
+
+    def _hom_basis(self, i, j):
+        key = ("hom_basis", i, j)
+        if key not in self._t:
+            self._t[key] = hom(self.indecs[i], self.indecs[j])
         return self._t[key]
 
     def gen_test(self, j, mask):
@@ -237,14 +253,32 @@ class ModuleContext:
     # -- homological tables -----------------------------------------------------
 
     def ext_table(self, n):
+        """dim Ext^n(M_i, M_j), from the Hom table (n >= 1).
+
+        0 -> Hom(X, Y) -> Hom(P_X, Y) -> Hom(Omega X, Y) -> Ext^1(X, Y) -> 0
+        is exact for the projective cover P_X, which holds P(v) as often as
+        Hom(X, S(v)) has dimensions.  So dim Ext^1(X, Y) = h(Omega X, Y) -
+        sum_v h(X, S(v)) (dim Y)_v + h(X, Y), and Ext^n(X, Y) is
+        Ext^(n-1)(Omega X, Y), summed over the summands of Omega X.
+        """
+        if n < 1:
+            raise ValueError("need n >= 1")
         key = ("ext", n)
         if key not in self._t:
-            k = self.k
-            tab = np.zeros((k, k), dtype=np.int16)
-            for i in range(k):
-                for j in range(k):
-                    tab[i, j] = ext(self.indecs[i], self.indecs[j], n)
-            self._t[key] = tab
+            if "omega" not in self._t:
+                self._t["omega"] = [self.identify(syzygy(m, 1)) for m in self.indecs]
+            if n == 1:
+                h = self.hom_table().astype(np.int64)
+                simples = list(self.vertex_types()["S"])
+                dims = np.array([m.dims for m in self.indecs], dtype=np.int64)
+                tab = h - h[:, simples] @ dims.T
+            else:
+                h = self.ext_table(n - 1).astype(np.int64)
+                tab = np.zeros_like(h)
+            for i, summands in enumerate(self._t["omega"]):
+                for w, mult in summands:
+                    tab[i] += mult * h[w]
+            self._t[key] = tab.astype(np.int16)
         return self._t[key]
 
     def ext_bad(self, n):
@@ -269,15 +303,21 @@ class ModuleContext:
         return self._t[key]
 
     def cover_types(self):
+        """The types of each projective cover: P(v) for each v with Hom(M_i, S(v)) != 0."""
         if "pc" not in self._t:
+            vt, h = self.vertex_types(), self.hom_table()
             self._t["pc"] = [
-                self.identify_mask(projective_cover(m)[0].module) for m in self.indecs
+                sum(1 << P for S, P in zip(vt["S"], vt["P"]) if h[i, S]) for i in range(self.k)
             ]
         return self._t["pc"]
 
     def envelope_types(self):
+        """The types of each injective envelope: I(v) for each v with Hom(S(v), M_i) != 0."""
         if "ie" not in self._t:
-            self._t["ie"] = [self.identify_mask(injective_envelope(m)[0]) for m in self.indecs]
+            vt, h = self.vertex_types(), self.hom_table()
+            self._t["ie"] = [
+                sum(1 << I for S, I in zip(vt["S"], vt["I"]) if h[S, i]) for i in range(self.k)
+            ]
         return self._t["ie"]
 
     # -- perpendicular categories ------------------------------------------------
@@ -809,8 +849,11 @@ def verify_two_cycle_example(p=2):
 # -- reports ---------------------------------------------------------------------
 
 
-def torsion_lattice_report(TL, predicates=True):
-    """JSON-ready description of a torsion lattice with predicate annotations."""
+def torsion_lattice_report(TL, predicates=True, order=True):
+    """JSON-ready description of a torsion lattice with predicate annotations.
+
+    ``order=False`` leaves out the Hasse diagram and the full order.
+    """
     ctx = TL.context
     names = ctx.names()
     classes = []
@@ -831,13 +874,11 @@ def torsion_lattice_report(TL, predicates=True):
                 }
             )
         classes.append(entry)
-    return {
-        "field": ctx.algebra.p,
-        "size": TL.n,
-        "classes": classes,
-        "hasse": [[a, b] for a, b in TL.cover_pairs()],
-        "leq": [[i, j] for i in range(TL.n) for j in bits(TL.up[i])],
-    }
+    rep = {"field": ctx.algebra.p, "size": TL.n, "classes": classes}
+    if order:
+        rep["hasse"] = [[a, b] for a, b in TL.cover_pairs()]
+        rep["leq"] = [[i, j] for i in range(TL.n) for j in bits(TL.up[i])]
+    return rep
 
 
 def torsion_lattice_to_dot(TL, name="torsion"):

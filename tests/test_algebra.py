@@ -14,6 +14,7 @@ from torscat.algebra import (
     Module,
     ZeroModule,
     almost_split_sequence,
+    ar_quiver,
     cosyzygy,
     decompose,
     ext,
@@ -636,6 +637,35 @@ def test_almost_split_sequences_of_non_bricks(p):
     assert assert_almost_split(indecs) == 3
     E, Z = almost_split_sequence(indecs[1])
     assert sorted(M.dims for M, _ in decompose(E)) == [(1,), (3,)]
+
+
+AR_CASES = {
+    "example/F2": (KNIT_CASES["example/F2"], 2),
+    "An:5": (KNIT_CASES["An:5"], 2),
+    "int:2/F3": (KNIT_CASES["int:2/F3"], 2),
+    "x^4/F3": (lambda: truncated_polynomials(4, 3), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AR_CASES))
+def test_ar_quiver_records_translates_and_middle_terms(name):
+    build, dim_bound = AR_CASES[name]
+    A = build()
+    indecs, ar = indecomposables(A, dim_bound), ar_quiver(A, dim_bound)
+    for v in range(A.n_vertices):
+        assert modules_isomorphic(indecs[ar.projectives[v]], A.projective(v))
+        assert modules_isomorphic(indecs[ar.injectives[v]], A.injective(v))
+    for i, X in enumerate(indecs):
+        assert (ar.tau[i] is None) == (i in ar.projectives)
+        assert (ar.tau_inverse[i] is None) == (i in ar.injectives)
+        if ar.tau[i] is None:
+            assert ar.middle[i] == {}
+            continue
+        assert ar.tau_inverse[ar.tau[i]] == i
+        assert modules_isomorphic(tau(X), indecs[ar.tau[i]])
+        # 0 -> tau X -> E -> X -> 0 is exact on dimension vectors
+        E = sum(mult * np.array(indecs[e].dims) for e, mult in ar.middle[i].items())
+        assert E.tolist() == [x + y for x, y in zip(X.dims, indecs[ar.tau[i]].dims)]
 
 
 def test_dimension_bound_stops_the_knitting():

@@ -1,8 +1,11 @@
+import hashlib
 import json
+import os
 import time
 
 import pytest
 
+from torscat import cli
 from torscat.algebra import path_algebra_An
 from torscat.cli import main, parse_algebra_spec
 from torscat.lattice import FinLattice
@@ -318,3 +321,51 @@ def test_output_is_deterministic(capsys):
     _, out3, _ = run(capsys, "--json", "verify", "thm1", "--n", "4")
     _, out4, _ = run(capsys, "--json", "verify", "thm1", "--n", "4")
     assert out3 == out4
+
+
+# sha256 of standard output at 988827b, before the Hom, Ext, cover and
+# envelope tables were read off the Auslander-Reiten quiver
+PINNED_OUTPUTS = {
+    ("--json", "tors", "int:2"): "8239cfe9ec0ff32e4ba2174e23825e4d9f23c68281b18d306727b9490e9cfed4",
+    ("tors", "example"): "615805bc43c82d5eb81f8f2055c63ddc278665450fa914d2ed44b163fcd84875",
+    ("--field", "3", "tors", "int:2"): "4b15ed67f7f1b0230fd8690bae016dc77816133f127d7423a67209e870d22a4c",
+    ("--field", "3", "verify", "prop-main"): "57d43ec9aec28f11c2d402e5484c0218c8b01c206da995d1e6a5803442b775a3",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_OUTPUTS, ids=" ".join)
+def test_output_bytes_are_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv]
+
+
+def test_singular_cartan_algebra_from_json(capsys):
+    # rad^2 = 0 on a two-cycle: its Cartan matrix [[1, 1], [1, 1]] is singular
+    spec = os.path.join(os.path.dirname(__file__), "data", "two_cycle_rad2.json")
+    code, out, err = run(capsys, "tors", spec)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"algebra {spec}: 4 indecomposables, 6 torsion pairs\n")
+
+
+def test_text_output_builds_no_json_payload(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("text output built the --json lattice")
+
+    reports = []
+    report = cli.torsion_lattice_report
+
+    def recorded_report(*args, **kwargs):
+        reports.append(report(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli.FinLattice, "to_json", refuse)
+    monkeypatch.setattr(cli, "torsion_lattice_report", recorded_report)
+    for argv, head in [
+        (("catalan", "dyck", "7"), "dyck 7: size 429\n"),
+        (("omega", "int:6"), "omega_1 lattice: size 429 "),
+        (("tors", "int:2"), "algebra int:2: 6 indecomposables, 14 torsion pairs\n"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith(head), argv
+    assert len(reports) == 1 and "leq" not in reports[0] and "hasse" not in reports[0]

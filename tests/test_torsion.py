@@ -1,5 +1,7 @@
 import functools
 import itertools
+import json
+import os
 import random
 
 import numpy as np
@@ -9,12 +11,19 @@ from test_algebra import truncated_polynomials
 
 from torscat import torsion
 from torscat.algebra import (
+    Algebra,
+    AlgebraError,
     _local_radical,
+    ar_quiver,
+    ext,
     hom,
     incidence_algebra,
     indecomposables,
+    injective_envelope,
+    mesh_hom_dims,
     modules_isomorphic,
     path_algebra_An,
+    projective_cover,
     two_cycle_algebra,
 )
 from torscat.catalan import _interval_index, tamari_lattice, typeA_torsion_classes, typeA_torsion_lattice
@@ -208,6 +217,62 @@ def test_local_radical_decides_indecomposability(case):
     for M in [*indecs, *sums]:
         assert (_local_radical(M, hom(M, M)) is not None) == (not has_splitter(M)), (case, M.dims)
     assert all(not has_splitter(M) for M in indecs)
+
+
+TABLE_CASES = [*LOCAL_RING_CASES, "int3", "rad2-two-cycle"]
+
+
+@functools.cache
+def table_context(case):
+    """The context of an oracle case, of F_p[x]/(x^4) (not directed, End not
+    a field, det Cartan = 4), of int:3, or of the two-cycle with rad^2 = 0
+    (det Cartan = 0)."""
+    if case in ORACLE_CASES:
+        return oracle_case(case)[0].context
+    if case == "int3":
+        return ModuleContext.for_algebra(incidence_algebra(interval_poset(3)), 2)
+    if case == "rad2-two-cycle":
+        with open(os.path.join(os.path.dirname(__file__), "data", "two_cycle_rad2.json")) as fh:
+            return ModuleContext.for_algebra(Algebra.from_json(json.load(fh)), 2)
+    return ModuleContext.for_algebra(truncated_polynomials(4, int(case.split("/F")[1])), 4)
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_mesh_hom_table_matches_hom(case):
+    ctx = table_context(case)
+    # the mesh system is singular exactly when the Cartan matrix is; then Hom is solved pair by pair
+    assert (mesh_hom_dims(ctx.indecs, ctx.ar) is None) == (case == "rad2-two-cycle")
+    assert ctx.hom_table().tolist() == [[len(hom(X, Y)) for Y in ctx.indecs] for X in ctx.indecs]
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_ext_tables_match_resolutions(case):
+    ctx = table_context(case)
+    for n in (1, 2):
+        assert ctx.ext_table(n).tolist() == [[ext(X, Y, n) for Y in ctx.indecs] for X in ctx.indecs], n
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_cover_and_envelope_types_match_their_modules(case):
+    ctx = table_context(case)
+    assert ctx.cover_types() == [ctx.identify_mask(projective_cover(M)[0].module) for M in ctx.indecs]
+    assert ctx.envelope_types() == [ctx.identify_mask(injective_envelope(M)[0]) for M in ctx.indecs]
+
+
+def test_mesh_certificate_catches_a_dropped_middle_summand():
+    # each arrow of the AR quiver of int:2 left out of its mesh in turn, or
+    # doubled (which only the h(X, I(v)) = (dim X)_v identity notices): the
+    # table is refused, never returned wrong
+    A = incidence_algebra(interval_poset(2))
+    indecs, ar = indecomposables(A, 2), ar_quiver(A, 2)
+    arrows = [(z, e) for z, middle in enumerate(ar.middle) for e in middle]
+    assert len(arrows) == 4
+    for (z, e), extra in itertools.product(arrows, (-1, 1)):
+        middle = list(ar.middle)
+        middle[z] = {**middle[z], e: middle[z][e] + extra}
+        ctx = ModuleContext(A, indecs, ar._replace(middle=tuple(middle)))
+        with pytest.raises(AlgebraError, match="mesh certificate fails"):
+            ctx.hom_table()
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
