@@ -34,6 +34,7 @@ from .algebra import (
     Algebra,
     AlgebraError,
     AtLeast,
+    CertificateFailed,
     EndTooLarge,
     LimitExceeded,
     Module,

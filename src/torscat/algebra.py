@@ -27,6 +27,7 @@ from .poset import Poset, bits
 
 __all__ = [
     "AlgebraError",
+    "CertificateFailed",
     "ZeroModule",
     "LimitExceeded",
     "EndTooLarge",
@@ -65,6 +66,10 @@ __all__ = [
 
 class AlgebraError(Exception):
     pass
+
+
+class CertificateFailed(AlgebraError):
+    """A computed result failed the check that certifies it; the input itself is well formed."""
 
 
 class ZeroModule(AlgebraError):
@@ -537,34 +542,13 @@ def path_algebra_An(n, p=2):
 
 
 def two_cycle_algebra(p=2):
-    """The 5-dimensional algebra on the quiver 1 <-> 2 with one length-2 cycle killed.
+    """The 5-dimensional algebra on the quiver a: 1 -> 2, b: 2 -> 1 with the path a then b killed.
 
-    The relation direction is pinned by the structure it must produce: a
-    global dimension 2 algebra whose projective cover of the second simple
-    is also its injective envelope, with exactly five indecomposables.
+    It has global dimension 2, five indecomposables, and the projective
+    cover of the second simple is also its injective envelope; killing b
+    then a instead would leave P(2) not injective.
     """
-    vlabels = ["1", "2"]
-    arrow_defs = [("a", 0, 1), ("b", 1, 0)]
-    for rel_path in [("a", "b"), ("b", "a")]:
-        A = Algebra.from_quiver(vlabels, arrow_defs, [[(1, rel_path)]], p=p)
-        failed = _two_cycle_failure(A)
-        if failed is None:
-            return A
-    raise AlgebraError(f"no relation orientation reproduces the target algebra: {failed}")
-
-
-def _two_cycle_failure(A):
-    """The first fact of the target algebra that A fails, or None."""
-    if A.dim != 5:
-        return "dimension must be 5"
-    gd = global_dimension(A, probe_bound=6)
-    if gd != 2:
-        return f"global dimension must be 2, got {gd}"
-    if not _isomorphic_indecomposables(A.projective(1), A.injective(1)):
-        return "P_2 must be injective"
-    if len(indecomposables(A, dim_bound=2)) != 5:
-        return "must have 5 indecomposables"
-    return None
+    return Algebra.from_quiver(["1", "2"], [("a", 0, 1), ("b", 1, 0)], [[(1, ("a", "b"))]], p=p)
 
 
 # -- modules -----------------------------------------------------------------
@@ -1005,7 +989,7 @@ def projective_cover(M):
     F = A.free_module(verts)
     pi = F.map_from_generators(M, gens)
     if not pi.is_surjective():
-        raise AlgebraError("projective cover construction failed to surject")
+        raise CertificateFailed("projective cover construction failed to surject")
     return F, pi
 
 
@@ -1106,7 +1090,7 @@ def _resolution_stages(M, length):
                 F, pi = projective_cover(K)
                 d = incl.compose(pi)
                 if not _radical_columns(d):
-                    raise AlgebraError("resolution differential escapes the radical")
+                    raise CertificateFailed("resolution differential escapes the radical")
                 K2, incl2 = F.module.sub(pi.kernel_subspaces())
                 stages.append((F, d, K2, incl2))
     return stages
@@ -1207,7 +1191,7 @@ def _try_split(M, mats):
     M1, _ = M.sub(ims)
     M2, _ = M.sub(kers)
     if M1.total_dim + M2.total_dim != M.total_dim:
-        raise AlgebraError("Fitting decomposition dimensions inconsistent")
+        raise CertificateFailed("Fitting decomposition dimensions inconsistent")
     return M1, M2
 
 
@@ -1474,7 +1458,7 @@ def _almost_split_middle(X, Z):
     for xi in C:
         if not boundaries.contains_vector(xi):
             return extension_middle(Z, X, xi)
-    raise AlgebraError(f"Ext^1(tau^-1 X, X) has no socle class for X of dimension vector {X.dims}")
+    raise CertificateFailed(f"Ext^1(tau^-1 X, X) has no socle class for X of dimension vector {X.dims}")
 
 
 # -- enumeration of indecomposables -------------------------------------------
@@ -1661,7 +1645,7 @@ def mesh_hom_dims(indecs, ar):
 
     The solution is certified: every entry is an integer >= 0, h(X, X) >= 1,
     and h(X, I(v)) = (dim X)_v for every X and v, an identity on columns
-    that no row states.  A failure raises AlgebraError.
+    that no row states.  A failure raises CertificateFailed.
     """
     k, dims = len(indecs), [M.dims for M in indecs]
     cartan = [list(dims[i]) for i in ar.projectives]
@@ -1675,7 +1659,7 @@ def mesh_hom_dims(indecs, ar):
         if z in vertex_of:
             b = [d[vertex_of[z]] for d in dims]
         elif ar.tau[z] is None or not ar.middle[z]:
-            raise AlgebraError(f"mesh certificate fails: no almost split sequence ends at M_{z}")
+            raise CertificateFailed(f"mesh certificate fails: no almost split sequence ends at M_{z}")
         else:
             for e, mult in ar.middle[z].items():
                 row[e] -= mult
@@ -1685,15 +1669,15 @@ def mesh_hom_dims(indecs, ar):
         rhs.append(b)
     solved = _fraction_free_solve(rows, rhs)
     if solved is None:
-        raise AlgebraError("mesh certificate fails: the mesh system is singular but the Cartan matrix is not")
+        raise CertificateFailed("mesh certificate fails: the mesh system is singular but the Cartan matrix is not")
     table = []
     for i, (d, b) in enumerate(solved):
         if any(x % d for x in b):
-            raise AlgebraError(f"mesh certificate fails: a Hom dimension out of M_{i} is not an integer")
+            raise CertificateFailed(f"mesh certificate fails: a Hom dimension out of M_{i} is not an integer")
         row = [x // d for x in b]
         if min(row) < 0 or row[i] < 1:
-            raise AlgebraError(f"mesh certificate fails: Hom dimensions out of M_{i} are {row}")
+            raise CertificateFailed(f"mesh certificate fails: Hom dimensions out of M_{i} are {row}")
         if [row[j] for j in ar.injectives] != list(dims[i]):
-            raise AlgebraError(f"mesh certificate fails: Hom(M_{i}, I(v)) is not (dim M_{i})_v")
+            raise CertificateFailed(f"mesh certificate fails: Hom(M_{i}, I(v)) is not (dim M_{i})_v")
         table.append(row)
     return table

@@ -1,7 +1,7 @@
 """Command-line interface: every count and verification as a subcommand.
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error,
-3 a budget or search limit was exceeded.
+Exit codes: 0 all checks passed, 1 a verification or an internal
+certificate failed, 2 usage error, 3 a budget or search limit was exceeded.
 """
 
 from __future__ import annotations
@@ -10,7 +10,15 @@ import argparse
 import json
 import sys
 
-from .algebra import Algebra, AlgebraError, LimitExceeded, incidence_algebra, path_algebra_An, two_cycle_algebra
+from .algebra import (
+    Algebra,
+    AlgebraError,
+    CertificateFailed,
+    LimitExceeded,
+    incidence_algebra,
+    path_algebra_An,
+    two_cycle_algebra,
+)
 from .catalan import dyck_lattice, tamari_lattice, typeA_torsion_lattice
 from .lattice import FinLattice, is_congruence_uniform, lattice_isomorphic
 from .linalg import MAX_PRIME
@@ -339,6 +347,9 @@ def main(argv=None):
     except LimitExceeded as err:
         print(f"limit exceeded: {err}", file=sys.stderr)
         return EXIT_BUDGET
+    except CertificateFailed as err:
+        print(f"verification FAILED: {err}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except (json.JSONDecodeError, KeyError, ValueError, AlgebraError) as err:
         print(f"usage error: cannot parse input ({err})", file=sys.stderr)
         return EXIT_USAGE

@@ -2,8 +2,8 @@
 
 Lattice axioms, (semi)distributivity, join-irreducibles, congruences, the
 congruence lattice and the forcing poset of join-irreducible congruences.
-A lattice is its order, stored as bitmask rows as in ``poset``; meets and
-joins are looked up from those rows.
+A lattice is a ``Poset`` whose meets and joins exist; they are looked up
+from its bitmask rows.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .algebra import LimitExceeded
-from .poset import Poset, bits, covers_from_up, poset_isos, transitive_closure, unions
+from .poset import Poset, bits, poset_isos, transitive_closure, unions
 
 __all__ = [
     "NotALattice",
@@ -19,6 +19,7 @@ __all__ = [
     "FinLattice",
     "check_size",
     "check_joins_are_unions",
+    "downset_lattice",
     "Congruence",
     "principal_congruence",
     "all_congruences",
@@ -54,20 +55,19 @@ class VerificationFailed(Exception):
         self.data = data or {}
 
 
-class FinLattice:
-    """A finite lattice as up-set bitmasks (``up[i]`` has bit j iff i <= j) and labels."""
+class FinLattice(Poset):
+    """A poset in which every two elements have a meet and a join.
 
-    __slots__ = ("n", "up", "labels", "_down", "_covers", "_up_index", "_down_index")
+    The order is the ``Poset`` one; meets and joins are looked up from it.
+    """
 
-    def __init__(self, up, labels):
-        object.__setattr__(self, "n", len(up))
-        object.__setattr__(self, "up", tuple(int(m) for m in up))
-        object.__setattr__(self, "labels", tuple(labels))
-        for slot in ("_down", "_covers", "_up_index", "_down_index"):
-            object.__setattr__(self, slot, None)
+    __slots__ = ("_up_index", "_down_index")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FinLattice is immutable")
+    def __init__(self, labels, up):
+        # up is inclusion on a family of sets (from_sets) or its dual, a partial order already
+        super().__init__(labels, up, _checked=True)
+        object.__setattr__(self, "_up_index", None)
+        object.__setattr__(self, "_down_index", None)
 
     @classmethod
     def from_sets(cls, masks, labels):
@@ -106,7 +106,7 @@ class FinLattice:
         tops = [i for i, u in enumerate(up) if u == 1 << i]
         if len(tops) > 1:
             raise NotALattice(labels[tops[0]], labels[tops[1]], "join")
-        return cls(up, labels)
+        return cls(labels, up)
 
     @classmethod
     def from_order(cls, up, labels=None):
@@ -124,19 +124,7 @@ class FinLattice:
             labels = [str(i) for i in range(len(up))]
         return cls.from_sets(Poset(labels, up).down(), labels)
 
-    # -- order queries -----------------------------------------------------
-
-    def leq(self, a, b):
-        return bool((self.up[a] >> b) & 1)
-
-    def down(self):
-        if self._down is None:
-            dn = [0] * self.n
-            for i in range(self.n):
-                for j in bits(self.up[i]):
-                    dn[j] |= 1 << i
-            object.__setattr__(self, "_down", tuple(dn))
-        return self._down
+    # -- lattice operations ------------------------------------------------
 
     def bottom(self):
         for i in range(self.n):
@@ -160,34 +148,12 @@ class FinLattice:
         """The greatest lower bound: the element whose down-set is down[a] & down[b]."""
         if self._down_index is None:
             object.__setattr__(self, "_down_index", {d: i for i, d in enumerate(self.down())})
-        return self._down_index[self._down[a] & self._down[b]]
-
-    def covers(self):
-        if self._covers is None:
-            object.__setattr__(self, "_covers", tuple(covers_from_up(self.up)))
-        return self._covers
-
-    def cover_pairs(self):
-        cov = self.covers()
-        return [(i, j) for i in range(self.n) for j in bits(cov[i])]
-
-    def to_poset(self):
-        return Poset(self.labels, self.up, _checked=True)
+        dn = self.down()
+        return self._down_index[dn[a] & dn[b]]
 
     def opposite(self):
         """The order-dual lattice: meets and joins exchanged."""
-        return FinLattice(self.down(), self.labels)
-
-    def __eq__(self, other):
-        if not isinstance(other, FinLattice):
-            return NotImplemented
-        return self.up == other.up and self.labels == other.labels
-
-    def __hash__(self):
-        return hash((self.up, self.labels))
-
-    def __repr__(self):
-        return f"FinLattice(n={self.n})"
+        return FinLattice(self.labels, self.down())
 
     # -- structural predicates ----------------------------------------------
 
@@ -242,15 +208,6 @@ class FinLattice:
             up[i] |= 1 << j
         return cls.from_order(up, labels=labels)
 
-    def to_dot(self, name="lattice"):
-        lines = [f"digraph {name} {{", "  rankdir=BT;"]
-        for i, lab in enumerate(self.labels):
-            lines.append(f'  n{i} [label="{lab}"];')
-        for i, j in self.cover_pairs():
-            lines.append(f"  n{i} -> n{j};")
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def _has_extreme(S, beyond):
     """Whether the set S (a bitmask) has a member x with S inside beyond[x].
@@ -259,6 +216,20 @@ def _has_extreme(S, beyond):
     up-sets a least one.
     """
     return any(S & ~beyond[x] == 0 for x in bits(S))
+
+
+def downset_lattice(rows, labels):
+    """The lattice of every union of ``rows``, bitmasks over points named by
+    ``labels``, ordered by inclusion.
+
+    With the principal down-sets of a preorder these are its down-sets, a
+    distributive lattice whose joins are unions (Birkhoff), and that is
+    checked.  Elements are sorted by (size, mask) and labelled "{a,b}".
+    """
+    masks = sorted(unions(rows), key=lambda m: (bin(m).count("1"), m))
+    L = FinLattice.from_sets(masks, ["{" + ",".join(labels[i] for i in bits(m)) + "}" for m in masks])
+    check_joins_are_unions(L, masks)
+    return L
 
 
 def check_joins_are_unions(L, masks):

@@ -220,9 +220,6 @@ class Subspace:
     def is_full(self):
         return self.dim == self.ambient
 
-    def basis_matrix(self):
-        return Matrix(self.basis, self.p)
-
     def reduce_vector(self, v):
         """Residue of v after eliminating all pivot coordinates."""
         v = np.mod(np.asarray(v, dtype=np.int64), self.p)

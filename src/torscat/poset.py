@@ -179,7 +179,7 @@ class Poset:
         return hash((self.labels, self.up))
 
     def __repr__(self):
-        return f"Poset(n={self.n})"
+        return f"{type(self).__name__}(n={self.n})"
 
     # -- serialization -----------------------------------------------------
 
@@ -288,13 +288,9 @@ def order_ideals(P):
 
 def ideal_lattice(P):
     """The distributive lattice of order ideals of P (meet/join = intersection/union)."""
-    from .lattice import FinLattice, check_joins_are_unions
+    from .lattice import downset_lattice
 
-    masks = sorted(iter_ideal_masks(P), key=lambda m: (bin(m).count("1"), m))
-    labels = ["{" + ",".join(P.labels[i] for i in bits(m)) + "}" for m in masks]
-    L = FinLattice.from_sets(masks, labels)
-    check_joins_are_unions(L, masks)  # Birkhoff
-    return L
+    return downset_lattice(P.down(), P.labels)
 
 
 # -- isomorphism search ----------------------------------------------------

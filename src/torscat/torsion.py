@@ -38,8 +38,8 @@ from .lattice import (
     FinLattice,
     NotALattice,
     VerificationFailed,
-    check_joins_are_unions,
     congruence_lattice,
+    downset_lattice,
     forcing_poset,
     lattice_isomorphic,
 )
@@ -441,15 +441,17 @@ class TorsionPair:
     __slots__ = ("context", "tors_mask", "free_mask")
 
     def __init__(self, context, tors_mask, free_mask=None, check=True):
-        if free_mask is None:
+        if check:
+            perp = context.certify_torsion_class(tors_mask)
+            if free_mask is None:
+                free_mask = perp
+            elif free_mask != perp:
+                raise VerificationFailed("free class is not the perp of the torsion class")
+        elif free_mask is None:
             free_mask = context.perp_mask(tors_mask)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "tors_mask", int(tors_mask))
         object.__setattr__(self, "free_mask", int(free_mask))
-        if check:
-            if context.perp_mask(tors_mask) != free_mask:
-                raise VerificationFailed("free class is not the perp of the torsion class")
-            context.certify_torsion_class(tors_mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("TorsionPair is immutable")
@@ -477,13 +479,10 @@ class TorsionPair:
 class TorsionLattice(FinLattice):
     __slots__ = ("pairs", "context")
 
-    def __init__(self, up, labels, pairs, context):
-        super().__init__(up, labels)
+    def __init__(self, labels, up, pairs, context):
+        super().__init__(labels, up)
         object.__setattr__(self, "pairs", tuple(pairs))
         object.__setattr__(self, "context", context)
-
-    def mask_index(self):
-        return {pr.tors_mask: i for i, pr in enumerate(self.pairs)}
 
 
 # On a complete indecomposable list the completeness certificates cannot
@@ -597,7 +596,7 @@ def enumerate_torsion_pairs(
     for a, d in enumerate(degree):
         if d != n:
             raise VerificationFailed(f"class has {d} covers, not {n}" + _INCOMPLETE, {"class": masks[a]})
-    return TorsionLattice(L.up, labels, pairs, ctx)
+    return TorsionLattice(labels, L.up, pairs, ctx)
 
 
 # -- predicates ----------------------------------------------------------------
@@ -662,23 +661,24 @@ def is_serre(ctx, mask):
 # -- the omega lattice via simples ---------------------------------------------
 
 
-def successor_closed_masks(n, edges):
-    """All vertex subsets closed under out-edges: the unions of reachability sets."""
+def _reachability(n, edges):
+    """Row v holds every vertex reachable from v, v included."""
     adj = [0] * n
     for u, v in edges:
         adj[u] |= 1 << v
-    return sorted(unions(transitive_closure(adj)), key=lambda m: (bin(m).count("1"), m))
+    return transitive_closure(adj)
+
+
+def successor_closed_masks(n, edges):
+    """All vertex subsets closed under out-edges: the unions of reachability sets."""
+    return sorted(unions(_reachability(n, edges)), key=lambda m: (bin(m).count("1"), m))
 
 
 def omega_lattice_from_digraph(n, edges, labels=None):
     """Lattice of successor-closed vertex subsets ordered by inclusion."""
-    masks = successor_closed_masks(n, edges)
     if labels is None:
         labels = [str(i + 1) for i in range(n)]
-    lab = ["{" + ",".join(labels[v] for v in bits(m)) + "}" for m in masks]
-    L = FinLattice.from_sets(masks, lab)
-    check_joins_are_unions(L, masks)
-    return L
+    return downset_lattice(_reachability(n, edges), labels)
 
 
 def omega_lattice_via_simples(A):
@@ -849,31 +849,26 @@ def verify_two_cycle_example(p=2):
 # -- reports ---------------------------------------------------------------------
 
 
-def torsion_lattice_report(TL, predicates=True, order=True):
+def torsion_lattice_report(TL, order=True):
     """JSON-ready description of a torsion lattice with predicate annotations.
 
     ``order=False`` leaves out the Hasse diagram and the full order.
     """
     ctx = TL.context
     names = ctx.names()
-    classes = []
-    for pr in TL.pairs:
-        entry = {
+    classes = [
+        {
             "tors": [[i, list(ctx.indecs[i].dims)] for i in bits(pr.tors_mask)],
             "free": [[i, list(ctx.indecs[i].dims)] for i in bits(pr.free_mask)],
             "tors_names": [names[i] for i in bits(pr.tors_mask)],
+            "omega1": is_omega_n(pr, 1),
+            "omega2": is_omega_n(pr, 2),
+            "hereditary": is_hereditary(pr),
+            "cohereditary": is_cohereditary(pr),
+            "split": is_split(pr),
         }
-        if predicates:
-            entry.update(
-                {
-                    "omega1": is_omega_n(pr, 1),
-                    "omega2": is_omega_n(pr, 2),
-                    "hereditary": is_hereditary(pr),
-                    "cohereditary": is_cohereditary(pr),
-                    "split": is_split(pr),
-                }
-            )
-        classes.append(entry)
+        for pr in TL.pairs
+    ]
     rep = {"field": ctx.algebra.p, "size": TL.n, "classes": classes}
     if order:
         rep["hasse"] = [[a, b] for a, b in TL.cover_pairs()]

@@ -325,6 +325,15 @@ def test_global_dimensions():
     assert global_dimension(incidence_algebra(interval_poset(3))) == 2
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_two_cycle_algebra_is_the_target_algebra(p):
+    # the one relation a then b gives every fact the paper's example needs
+    A = two_cycle_algebra(p=p)
+    assert A.dim == 5 and global_dimension(A) == 2
+    assert modules_isomorphic(A.projective(1), A.injective(1))
+    assert len(indecomposables(A, 2)) == 5
+
+
 def test_global_dimension_probe_bound():
     # self-injective Nakayama algebra: infinite global dimension
     A = Algebra.from_quiver(

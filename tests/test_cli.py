@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from torscat import cli
+from torscat import cli, torsion
 from torscat.algebra import path_algebra_An
 from torscat.cli import main, parse_algebra_spec
 from torscat.lattice import FinLattice
@@ -330,6 +330,21 @@ PINNED_OUTPUTS = {
     ("tors", "example"): "615805bc43c82d5eb81f8f2055c63ddc278665450fa914d2ed44b163fcd84875",
     ("--field", "3", "tors", "int:2"): "4b15ed67f7f1b0230fd8690bae016dc77816133f127d7423a67209e870d22a4c",
     ("--field", "3", "verify", "prop-main"): "57d43ec9aec28f11c2d402e5484c0218c8b01c206da995d1e6a5803442b775a3",
+    # the lattice layer, at 3a68167, before FinLattice became a Poset
+    ("--json", "catalan", "dyck", "6"): "ea7c0597a870cce88e0467b5b99dc44e473a04eb502cfb975794deefad500433",
+    ("--json", "catalan", "tamari", "6"): "591617d19cd196ed7d7adf4de257c14099e73510870585b1dd5eb24fe5261dcc",
+    ("--json", "catalan", "typeA", "5"): "8ad858887e579e20ca383f437ace7ed974d0ba3efcff269e8b9f1140b88ef1d3",
+    ("--json", "omega", "int:5"): "6305d8cd9bc6380a91d6c6b7955b87ccaea691815a3597e919f042c848951bfa",
+    ("--json", "verify", "thm2", "--n", "6"): "71b2bd33b41eac08e577ed2f76c769fa53d828ac2ca201c2fd34bc83d673fdc2",
+    ("--json", "verify", "thm1", "--n", "4"): "1fb4aee1fb8be6e9ed53378ecbb2781aef6cbb3cc4c427550c969eb4bee06d28",
+}
+
+# sha256 of the --dot file at 3a68167
+PINNED_DOT = {
+    ("catalan", "dyck", "4"): "49ccb92673e54c989f7cd45eb8e5149475ac1586a536b6fada78ce5338667270",
+    ("catalan", "tamari", "4"): "d0d77846b07b5bb72f798b6950966b87c8c587691609594bb385ee54eaccba3f",
+    ("catalan", "typeA", "4"): "9ab00401e3c99cd0968a211b80799563090148b158ef5bd593159e95f8868144",
+    ("tors", "int:2"): "820d8cb6a2efafc2558a1584a2b616b1553b3778e33ecf8a9e67038bfd67f92c",
 }
 
 
@@ -338,6 +353,33 @@ def test_output_bytes_are_pinned(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv]
+
+
+@pytest.mark.parametrize("argv", PINNED_DOT, ids=" ".join)
+def test_dot_bytes_are_pinned(tmp_path, capsys, argv):
+    target = tmp_path / "out.dot"
+    code, _, err = run(capsys, "--dot", str(target), *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == PINNED_DOT[argv]
+
+
+def test_failed_certificate_is_a_verification_failure(capsys, monkeypatch):
+    # one middle summand of the AR data of int:2 doubled: the mesh certificate
+    # refuses the Hom table, which is a failed verification, not a bad input
+    ar_quiver = torsion.ar_quiver
+
+    def doubled(A, dim_bound=2):
+        ar = ar_quiver(A, dim_bound)
+        z = next(z for z, middle in enumerate(ar.middle) if middle)
+        e, mult = next(iter(ar.middle[z].items()))
+        middle = list(ar.middle)
+        middle[z] = {**middle[z], e: 2 * mult}
+        return ar._replace(middle=tuple(middle))
+
+    monkeypatch.setattr(torsion, "ar_quiver", doubled)
+    code, _, err = run(capsys, "tors", "int:2")
+    assert code == 1
+    assert err.startswith("verification FAILED: mesh certificate fails")
 
 
 def test_singular_cartan_algebra_from_json(capsys):
