@@ -1,41 +1,48 @@
-"""The field-arithmetic hot kernel: Gaussian elimination over F_p in numpy.
+"""The field-arithmetic hot kernel: Gaussian elimination over F_p on int rows.
 
 ``rref`` is the one elimination routine every ``linalg`` operation goes
-through.
+through.  The matrices it sees are small (a few cells on average, tens of
+rows at most on the paper's algebras), so lists of Python ints beat any
+array library's per-call overhead.
 """
 
 from __future__ import annotations
 
-import numpy as np
 
+def rref(m):
+    """Reduced row echelon form mod p of a ``Matrix`` m.
 
-def rref(a_in, p):
-    """Reduced row echelon form mod p.  Returns (uint8 array, pivot columns)."""
-    a = np.array(a_in, dtype=np.int32, order="C", copy=True)
-    m, n = a.shape
-    if m == 0 or n == 0:
-        return a.astype(np.uint8), ()
-    row = 0
+    Returns (rows, pivot columns): ``rows`` is a tuple of ``m.shape[0]``
+    tuples of ints in [0, p), the nonzero ones first.
+    """
+    nrows, ncols = m.shape
+    p = m.p
+    a = [list(row) for row in m.a]
     pivots = []
-    for col in range(n):
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = row + nz[0]
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), p - 2, p)
-        if inv != 1:
-            a[row] = (a[row] * inv) % p
-        hits = np.nonzero(a[:, col])[0]
-        hits = hits[hits != row]
-        if hits.size:
-            a[hits] = (a[hits] - np.outer(a[hits, col], a[row])) % p
-        pivots.append(col)
-        row += 1
-        if row == m:
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
             break
-    return a.astype(np.uint8), tuple(pivots)
+        for i in range(r, nrows):
+            if a[i][c]:
+                break
+        else:
+            continue
+        piv = a[i]
+        if i != r:
+            a[i] = a[r]
+        x = piv[c]
+        if x != 1:
+            inv = pow(x, p - 2, p)
+            piv = [y * inv % p for y in piv]
+        a[r] = piv
+        for i, row in enumerate(a):
+            f = row[c]
+            if f and i != r:
+                a[i] = [(y - f * z) % p for y, z in zip(row, piv)]
+        pivots.append(c)
+        r += 1
+    return tuple(map(tuple, a)), tuple(pivots)
 
 
 def backend_name():

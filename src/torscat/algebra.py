@@ -1,6 +1,6 @@
 """Finite-dimensional algebras presented by quivers with relations over F_p.
 
-An Algebra carries an explicit basis with a full multiplication table, so
+An Algebra carries an explicit basis with its structure constants, so
 modules, Hom spaces, projective covers, (co)syzygies, Ext groups and
 Krull-Schmidt decompositions are all exact finite linear algebra.
 
@@ -20,9 +20,7 @@ import itertools
 import json
 from collections import deque, namedtuple
 
-import numpy as np
-
-from .linalg import Matrix, NoSolution, Subspace, solve
+from .linalg import Matrix, NoSolution, Subspace, solve, vstack
 from .poset import Poset, bits
 
 __all__ = [
@@ -108,6 +106,11 @@ class AtLeast:
 Arrow = namedtuple("Arrow", ["name", "src", "tgt"])
 
 
+def _offsets(sizes):
+    """The running sums [0, s_0, s_0 + s_1, ...] of sizes."""
+    return list(itertools.accumulate(sizes, initial=0))
+
+
 def _normalize_relations(relations, arrows):
     """Relations as lists of (coeff, arrow-index tuple); validates admissibility."""
     by_name = {a.name: i for i, a in enumerate(arrows)}
@@ -130,15 +133,13 @@ def _normalize_relations(relations, arrows):
     return tuple(out)
 
 
-def _matching_pairs(left, right):
-    """All index pairs (e, f) with left[e] == right[f]."""
-    order = np.argsort(right, kind="stable")
-    lo, hi = (np.searchsorted(right[order], left, side) for side in ("left", "right"))
-    e = np.repeat(np.arange(len(left)), hi - lo)
-    return e, order[np.arange(len(e)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
-
-
 class Algebra:
+    """A basis b_0, ..., b_(d-1) of paths and its structure constants.
+
+    ``mult`` is sparse: ``mult[i, j]`` holds the nonzero terms (m, c) of
+    b_i b_j = sum c b_m, and a pair whose product is 0 has no entry.
+    """
+
     __slots__ = (
         "p",
         "vlabels",
@@ -163,9 +164,8 @@ class Algebra:
         object.__setattr__(self, "tgt", tuple(tgt))
         object.__setattr__(self, "paths", tuple(paths))
         object.__setattr__(self, "blabels", tuple(blabels))
-        mult = np.asarray(mult, dtype=np.uint8)
-        mult.setflags(write=False)
-        object.__setattr__(self, "mult", mult)
+        mult = {ij: tuple((m, c % p) for m, c in terms if c % p) for ij, terms in mult.items()}
+        object.__setattr__(self, "mult", {ij: terms for ij, terms in mult.items() if terms})
         object.__setattr__(self, "e_idx", tuple(e_idx))
         object.__setattr__(self, "arrow_idx", tuple(arrow_idx))
         object.__setattr__(self, "_cache", {})
@@ -251,24 +251,18 @@ class Algebra:
                     for p2, _ in by_src.get(rtgt, []):
                         if len(p1) + minlen + len(p2) > N - 1:
                             continue
-                        vec = np.zeros(cols, dtype=np.int64)
-                        nonzero = False
+                        vec = [0] * cols
                         for coeff, path in rel:
                             full = p1 + path + p2
                             if len(full) <= N - 1:
                                 vec[col_of[(p1src, full)]] += coeff
-                                nonzero = True
-                        if nonzero and (vec % p).any():
-                            gens.append(vec % p)
+                        if any(x % p for x in vec):
+                            gens.append(vec)
+            rr, pivots = (), []
             if gens:
-                R, rank = Matrix(np.array(gens), p).rref()
+                R, rank = Matrix(gens, p).rref()
                 rr = R.a[:rank]
-                pivots = []
-                for row in rr:
-                    pivots.append(int(np.nonzero(row)[0][0]))
-            else:
-                rr = np.zeros((0, cols), dtype=np.uint8)
-                pivots = []
+                pivots = [next(c for c, x in enumerate(row) if x) for row in rr]
             pivset = set(pivots)
             basis_cols = [c for c in range(cols) if c not in pivset]
             return plist, order, col_of, rr, pivots, basis_cols
@@ -306,20 +300,18 @@ class Algebra:
         piv_row = {c: r for r, c in enumerate(pivots)}
         nf = {}
         for c, (pth, s, t) in enumerate(col_to_path):
-            vec = np.zeros(d, dtype=np.uint8)
             if c in piv_row:
                 row = rr[piv_row[c]]
-                for cc in np.nonzero(row)[0]:
-                    cc = int(cc)
-                    if cc == c:
-                        continue
-                    p2, s2, _ = col_to_path[cc]
-                    vec[bpos[(s2, p2)]] = (p - int(row[cc])) % p
+                terms = []
+                for cc, x in enumerate(row):
+                    if x and cc != c:
+                        p2, s2, _ = col_to_path[cc]
+                        terms.append((bpos[(s2, p2)], (p - x) % p))
+                nf[(s, pth)] = tuple(sorted(terms))
             else:
-                vec[bpos[(s, pth)]] = 1
-            nf[(s, pth)] = vec
+                nf[(s, pth)] = ((bpos[(s, pth)], 1),)
 
-        mult = np.zeros((d, d, d), dtype=np.uint8)
+        mult = {}
         for i in range(d):
             for j in range(d):
                 if btgt[i] != bsrc[j]:
@@ -358,21 +350,27 @@ class Algebra:
         b_h (b_i b_j).  A triple with both sides zero has no terms.
         """
         d, p = self.dim, self.p
-        i, j, m = np.nonzero(self.mult)
-        c = self.mult[i, j, m].astype(np.int64)
-        e, f = _matching_pairs(m, i)  # (b_i b_j) b_k
-        g, h = _matching_pairs(m, j)  # b_h (b_i b_j)
-        keys = np.concatenate([((i[e] * d + j[e]) * d + j[f]) * d + m[f], ((i[h] * d + i[g]) * d + j[g]) * d + m[h]])
-        _, where = np.unique(keys, return_inverse=True)
-        # the weights are small integers, so the float sums are exact
-        if np.any(np.bincount(where, weights=np.concatenate([c[e] * c[f], -c[g] * c[h]])) % p):
+        left, right = {}, {}  # m -> [(k, terms of b_m b_k)] and [(h, terms of b_h b_m)]
+        for (i, j), terms in self.mult.items():
+            left.setdefault(i, []).append((j, terms))
+            right.setdefault(j, []).append((i, terms))
+        sums = {}
+        for (i, j), terms in self.mult.items():
+            ij = (i * d + j) * d
+            for m, c in terms:
+                for k, terms2 in left.get(m, ()):
+                    key = (ij + k) * d
+                    for n, c2 in terms2:
+                        sums[key + n] = sums.get(key + n, 0) + c * c2
+                for h, terms2 in right.get(m, ()):
+                    key = ((h * d + i) * d + j) * d
+                    for n, c2 in terms2:
+                        sums[key + n] = sums.get(key + n, 0) - c * c2
+        if any(x % p for x in sums.values()):
             raise AlgebraError("multiplication table is not associative")
         for k in range(d):
-            ev = self.e_idx[self.src[k]]
-            ew = self.e_idx[self.tgt[k]]
-            unit = np.zeros(d, dtype=np.uint8)
-            unit[k] = 1
-            if not np.array_equal(self.mult[ev, k], unit) or not np.array_equal(self.mult[k, ew], unit):
+            unit, ev, ew = ((k, 1),), self.e_idx[self.src[k]], self.e_idx[self.tgt[k]]
+            if self.mult.get((ev, k)) != unit or self.mult.get((k, ew)) != unit:
                 raise AlgebraError("vertex idempotents do not act as units")
 
     # -- distinguished modules ----------------------------------------------
@@ -409,7 +407,7 @@ class Algebra:
                 tuple((coeff, tuple(reversed(path))) for coeff, path in rel) for rel in self.relations
             )
             paths = [tuple(reversed(pth)) for pth in self.paths]
-            mult = np.ascontiguousarray(self.mult.transpose(1, 0, 2))
+            mult = {(j, i): terms for (i, j), terms in self.mult.items()}
             op = Algebra(
                 self.p,
                 self.vlabels,
@@ -508,11 +506,10 @@ def incidence_algebra(P, p=2):
                 out.extend([(arrow_of[(x, z)],) + rest for rest in all_cover_paths(z, y)])
         return out
 
-    mult = np.zeros((d, d, d), dtype=np.uint8)
+    mult = {}
     for i, (x, y) in enumerate(pairs):
-        for j, (u, v) in enumerate(pairs):
-            if y == u:
-                mult[i, j, idx[(x, v)]] = 1
+        for v in bits(P.up[y]):
+            mult[i, idx[(y, v)]] = ((idx[(x, v)], 1),)
     relations = []
     for (x, y) in pairs:
         ps = all_cover_paths(x, y)
@@ -567,9 +564,9 @@ class Module:
         if len(mats) != len(algebra.arrows):
             raise AlgebraError("need one matrix per arrow")
         for m, a in zip(mats, algebra.arrows):
-            if m.a.shape != (dims[a.tgt], dims[a.src]):
+            if m.shape != (dims[a.tgt], dims[a.src]):
                 raise AlgebraError(
-                    f"matrix for arrow {a.name} has shape {m.a.shape}, expected {(dims[a.tgt], dims[a.src])}"
+                    f"matrix for arrow {a.name} has shape {m.shape}, expected {(dims[a.tgt], dims[a.src])}"
                 )
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "dims", dims)
@@ -586,10 +583,10 @@ class Module:
         for rel in self.algebra.relations:
             s = self.algebra.arrows[rel[0][1][0]].src
             t = self.algebra.arrows[rel[0][1][-1]].tgt
-            acc = np.zeros((self.dims[t], self.dims[s]), dtype=np.int64)
+            acc = Matrix.zeros(self.dims[t], self.dims[s], self.algebra.p)
             for coeff, path in rel:
-                acc += coeff * self.path_action(path, s).a.astype(np.int64)
-            if (acc % self.algebra.p).any():
+                acc = acc + self.path_action(path, s).scale(coeff)
+            if not acc.is_zero():
                 raise AlgebraError("module does not satisfy the relations")
 
     @classmethod
@@ -607,7 +604,7 @@ class Module:
 
     def key(self):
         if self._key is None:
-            blob = (self.dims, tuple(m.a.tobytes() for m in self.mats))
+            blob = (self.dims, tuple(m.a for m in self.mats))
             object.__setattr__(self, "_key", blob)
         return self._key
 
@@ -643,14 +640,12 @@ class Module:
         dims = [sum(m.dims[v] for m in mods) for v in range(A.n_vertices)]
         mats = []
         for ai, a in enumerate(A.arrows):
-            blocks = [m.mats[ai].a for m in mods]
-            big = np.zeros((dims[a.tgt], dims[a.src]), dtype=np.uint8)
-            r = c = 0
-            for m, b in zip(mods, blocks):
-                big[r : r + b.shape[0], c : c + b.shape[1]] = b
-                r += b.shape[0]
-                c += b.shape[1]
-            mats.append(Matrix(big, A.p))
+            rows, c, cols = [], 0, dims[a.src]
+            for m in mods:
+                b = m.mats[ai]
+                rows.extend((0,) * c + row + (0,) * (cols - c - b.cols) for row in b.a)
+                c += b.cols
+            mats.append(Matrix(tuple(rows), A.p, cols, _checked=True))
         return Module(A, dims, mats, check=False)
 
     def dual(self):
@@ -678,7 +673,7 @@ class Module:
         """Submodule on the given arrow-stable subspaces, with its inclusion."""
         A = self.algebra
         dims = [sp.dim for sp in subspaces]
-        incl = [Matrix(sp.basis.T, A.p) for sp in subspaces]
+        incl = [sp.matrix().T for sp in subspaces]
         mats = []
         for ai, a in enumerate(A.arrows):
             img = self.mats[ai] @ incl[a.src]
@@ -696,19 +691,19 @@ class Module:
         sections = []
         for v, sp in enumerate(subspaces):
             free = sp.free_coords()
-            pi = np.zeros((len(free), self.dims[v]), dtype=np.int64)
-            for r, f in enumerate(free):
-                pi[r, f] = 1
-            for r_idx, c in enumerate(sp.pivots):
-                pi[:, c] = -sp.basis[r_idx, list(free)].astype(np.int64)
-            projs.append(Matrix(pi % A.p, A.p))
-            sec = np.zeros((self.dims[v], len(free)), dtype=np.uint8)
-            for r, f in enumerate(free):
-                sec[f, r] = 1
-            sections.append(Matrix(sec, A.p))
+            pi = []
+            for f in free:
+                row = [0] * self.dims[v]
+                row[f] = 1
+                for brow, c in zip(sp.basis, sp.pivots):
+                    row[c] = -brow[f]
+                pi.append(row)
+            projs.append(Matrix(pi, A.p, self.dims[v]))
+            eye = Matrix.identity(self.dims[v], A.p).a
+            sections.append(Matrix(tuple(eye[f] for f in free), A.p, self.dims[v], _checked=True).T)
         mats = []
         for ai, a in enumerate(A.arrows):
-            stability = projs[a.tgt] @ self.mats[ai] @ Matrix(subspaces[a.src].basis.T, A.p)
+            stability = projs[a.tgt] @ self.mats[ai] @ subspaces[a.src].matrix().T
             if not stability.is_zero():
                 raise AlgebraError("subspaces are not arrow-stable")
             mats.append(projs[a.tgt] @ self.mats[ai] @ sections[a.src])
@@ -720,15 +715,15 @@ class Module:
         A = self.algebra
         spans = [Subspace.zero(self.dims[v], A.p) for v in range(A.n_vertices)]
         spans[vertex] = Subspace.from_rows([vec], self.dims[vertex], A.p)
-        frontier = [(vertex, np.asarray(vec, dtype=np.uint8))]
+        frontier = [(vertex, [int(x) % A.p for x in vec])]
         while frontier:
             v, x = frontier.pop()
             for ai, a in enumerate(A.arrows):
                 if a.src == v:
-                    y = (self.mats[ai].a.astype(np.int64) @ x) % A.p
-                    if y.any() and not spans[a.tgt].contains_vector(y):
+                    y = self.mats[ai].apply(x)
+                    if any(y) and not spans[a.tgt].contains_vector(y):
                         spans[a.tgt] = spans[a.tgt] + Subspace.from_rows([y], self.dims[a.tgt], A.p)
-                        frontier.append((a.tgt, y.astype(np.uint8)))
+                        frontier.append((a.tgt, y))
         return tuple(spans)
 
     def all_submodules(self, cap=200_000):
@@ -746,7 +741,7 @@ class Module:
         for v, d in enumerate(self.dims):
             for lead in range(d):
                 for tail in itertools.product(range(p), repeat=d - lead - 1):
-                    vec = np.array((0,) * lead + (1,) + tail, dtype=np.uint8)
+                    vec = (0,) * lead + (1,) + tail
                     cyclics.add(self.spanned_submodule(v, vec))
         found = {zero}
         frontier = [zero]
@@ -763,13 +758,13 @@ class Module:
                     frontier.append(new)
         return sorted(
             found,
-            key=lambda subs: (sum(s.dim for s in subs), tuple(s.basis.tobytes() for s in subs)),
+            key=lambda subs: (sum(s.dim for s in subs), tuple(s.basis for s in subs)),
         )
 
     def to_json(self):
         return {
             "dims": list(self.dims),
-            "arrows": {a.name: m.a.tolist() for a, m in zip(self.algebra.arrows, self.mats)},
+            "arrows": {a.name: [list(row) for row in m.a] for a, m in zip(self.algebra.arrows, self.mats)},
         }
 
     @classmethod
@@ -783,7 +778,7 @@ class Module:
             if raw is None:
                 mats.append(Matrix.zeros(dims[a.tgt], dims[a.src], algebra.p))
             else:
-                mats.append(Matrix(raw, algebra.p))
+                mats.append(Matrix(raw, algebra.p, dims[a.src]))
         return cls(algebra, dims, mats)
 
 
@@ -795,7 +790,7 @@ class ModuleMap:
             raise AlgebraError("maps need a common algebra")
         mats = tuple(m if isinstance(m, Matrix) else Matrix(m, source.algebra.p) for m in mats)
         for v, m in enumerate(mats):
-            if m.a.shape != (target.dims[v], source.dims[v]):
+            if m.shape != (target.dims[v], source.dims[v]):
                 raise AlgebraError("map component has wrong shape")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -879,14 +874,12 @@ class FreeModule:
         pos = [{sk: i for i, sk in enumerate(l)} for l in layout]
         mats = []
         for a_i, a in enumerate(algebra.arrows):
-            arr = np.zeros((dims[a.tgt], dims[a.src]), dtype=np.uint8)
+            arr = [[0] * dims[a.src] for _ in range(dims[a.tgt])]
             ab = algebra.arrow_idx[a_i]
             for col, (s, k) in enumerate(layout[a.src]):
-                prod = algebra.mult[k, ab]
-                for k2 in np.nonzero(prod)[0]:
-                    k2 = int(k2)
-                    arr[pos[a.tgt][(s, k2)], col] = prod[k2]
-            mats.append(Matrix(arr, algebra.p))
+                for k2, c in algebra.mult.get((k, ab), ()):
+                    arr[pos[a.tgt][(s, k2)]][col] = c
+            mats.append(Matrix(arr, algebra.p, dims[a.src]))
         module = Module(algebra, dims, mats, check=False)
         gen_coord = [pos[v][(s, algebra.e_idx[v])] for s, v in enumerate(verts)]
         object.__setattr__(self, "module", module)
@@ -904,11 +897,8 @@ class FreeModule:
         A = self.algebra
         mats = []
         for w in range(A.n_vertices):
-            arr = np.zeros((N.dims[w], self.module.dims[w]), dtype=np.uint8)
-            for col, (s, k) in enumerate(self.layout[w]):
-                pa = N.path_action(A.paths[k], A.src[k])
-                arr[:, col] = (pa.a.astype(np.int64) @ gen_images[s]) % A.p
-            mats.append(Matrix(arr, A.p))
+            cols = tuple(N.path_action(A.paths[k], A.src[k]).apply(gen_images[s]) for s, k in self.layout[w])
+            mats.append(Matrix(cols, A.p, N.dims[w], _checked=True).T)
         return ModuleMap(self.module, N, mats, check=False)
 
     def hom_space_dim(self, N):
@@ -922,35 +912,30 @@ def _hom_constraints(M, N):
     """Constraint matrix whose kernel is Hom(M, N), in per-vertex column-major blocks."""
     A = M.algebra
     p = A.p
-    sizes = [N.dims[v] * M.dims[v] for v in range(A.n_vertices)]
-    offs = np.cumsum([0] + sizes)
-    total = int(offs[-1])
+    offs = _offsets(N.dims[v] * M.dims[v] for v in range(A.n_vertices))
     rows = []
     for ai, a in enumerate(A.arrows):
         u, v = a.src, a.tgt
-        r = N.dims[v] * M.dims[u]
-        if r == 0:
-            continue
-        block = np.zeros((r, total), dtype=np.int64)
-        # f_v @ M_a  -> (M_a^T kron I_{N_v}) vec(f_v), column-major vec
-        ka = np.kron(M.mats[ai].a.T.astype(np.int64), np.eye(N.dims[v], dtype=np.int64))
-        block[:, offs[v] : offs[v + 1]] += ka
-        # N_a @ f_u  -> (I_{M_u} kron N_a) vec(f_u)
-        kb = np.kron(np.eye(M.dims[u], dtype=np.int64), N.mats[ai].a.astype(np.int64))
-        block[:, offs[u] : offs[u + 1]] -= kb
-        rows.append(block % p)
-    if rows:
-        big = np.vstack(rows)
-    else:
-        big = np.zeros((0, total), dtype=np.int64)
-    return Matrix(big, p), offs
+        Ma, Na = M.mats[ai].a, N.mats[ai].a
+        nu, nv = N.dims[u], N.dims[v]
+        # one row per entry (i, j) of f_v M_a - N_a f_u, in column-major order;
+        # f_v[i, k] is unknown offs[v] + k nv + i
+        for j in range(M.dims[u]):
+            for i in range(nv):
+                row = [0] * offs[-1]
+                for k, Ma_row in enumerate(Ma):
+                    row[offs[v] + k * nv + i] += Ma_row[j]
+                for l, x in enumerate(Na[i]):
+                    row[offs[u] + j * nu + l] -= x
+                rows.append(row)
+    return Matrix(rows, p, offs[-1]), offs
 
 
 def _unflatten(vec, M, N, offs):
     mats = []
     for v in range(M.algebra.n_vertices):
-        part = vec[offs[v] : offs[v + 1]]
-        mats.append(Matrix(np.asarray(part).reshape((N.dims[v], M.dims[v]), order="F"), M.algebra.p))
+        part, n = vec[offs[v] : offs[v + 1]], N.dims[v]
+        mats.append(Matrix(tuple(part[i::n] for i in range(n)), M.algebra.p, M.dims[v], _checked=True))
     return ModuleMap(M, N, mats, check=False)
 
 
@@ -982,8 +967,7 @@ def projective_cover(M):
     gens = []
     for v in range(A.n_vertices):
         for c in rad[v].free_coords():
-            vec = np.zeros(M.dims[v], dtype=np.uint8)
-            vec[c] = 1
+            vec = (0,) * c + (1,) + (0,) * (M.dims[v] - c - 1)
             verts.append(v)
             gens.append(vec)
     F = A.free_module(verts)
@@ -1060,7 +1044,7 @@ def _radical_columns(d):
     """Every column of the map lands in the radical of the target."""
     rad = d.target.radical()
     for v, m in enumerate(d.mats):
-        for col in m.a.T:
+        for col in m.columns():
             if not rad[v].contains_vector(col):
                 return False
     return True
@@ -1111,19 +1095,20 @@ def _delta_matrix(F_hi, F_lo, d, N):
     """Matrix of g -> g . d from Hom(F_lo, N) to Hom(F_hi, N) in generator coordinates."""
     A = N.algebra
     p = A.p
-    hi_sizes = [N.dims[v] for v in F_hi.verts]
-    lo_sizes = [N.dims[v] for v in F_lo.verts]
-    hi_off = np.cumsum([0] + hi_sizes)
-    lo_off = np.cumsum([0] + lo_sizes)
-    out = np.zeros((int(hi_off[-1]), int(lo_off[-1])), dtype=np.int64)
+    hi_off = _offsets(N.dims[v] for v in F_hi.verts)
+    lo_off = _offsets(N.dims[v] for v in F_lo.verts)
+    out = [[0] * lo_off[-1] for _ in range(hi_off[-1])]
     for s2, v2 in enumerate(F_hi.verts):
-        col = d.mats[v2].a[:, F_hi.gen_coord[s2]]
-        for pos, (s1, k) in enumerate(F_lo.layout[v2]):
-            c = int(col[pos])
+        gen = F_hi.gen_coord[s2]
+        for (s1, k), row in zip(F_lo.layout[v2], d.mats[v2].a):
+            c = row[gen]
             if c:
-                pa = N.path_action(A.paths[k], A.src[k]).a.astype(np.int64)
-                out[hi_off[s2] : hi_off[s2 + 1], lo_off[s1] : lo_off[s1 + 1]] += c * pa
-    return Matrix(out % p, p)
+                base = lo_off[s1]
+                for r, pa_row in enumerate(N.path_action(A.paths[k], A.src[k]).a, hi_off[s2]):
+                    out_row = out[r]
+                    for x, y in enumerate(pa_row, base):
+                        out_row[x] += c * y
+    return Matrix(out, p, lo_off[-1])
 
 
 def ext(M, N, n):
@@ -1171,23 +1156,21 @@ def global_dimension(A, probe_bound=12):
 # -- decomposition ------------------------------------------------------------
 
 
-def _endo_power(mats, total_dim, p):
-    e = [m.a.astype(np.int64) for m in mats]
-    steps = max(1, total_dim.bit_length())
-    for _ in range(steps):
-        e = [(m @ m) % p for m in e]
+def _endo_power(mats, total_dim):
+    e = list(mats)
+    for _ in range(max(1, total_dim.bit_length())):
+        e = [m @ m for m in e]
     return e
 
 
 def _try_split(M, mats):
     """Fitting split along an endomorphism, or None if it is nilpotent/invertible."""
-    p = M.algebra.p
-    e = _endo_power(mats, M.total_dim, p)
-    ranks = [Matrix(m, p).rank() for m in e]
+    e = _endo_power(mats, M.total_dim)
+    ranks = [m.rank() for m in e]
     if sum(ranks) == 0 or sum(ranks) == M.total_dim:
         return None
-    ims = tuple(Matrix(m, p).image() for m in e)
-    kers = tuple(Matrix(m, p).kernel() for m in e)
+    ims = tuple(m.image() for m in e)
+    kers = tuple(m.kernel() for m in e)
     M1, _ = M.sub(ims)
     M2, _ = M.sub(kers)
     if M1.total_dim + M2.total_dim != M.total_dim:
@@ -1227,10 +1210,7 @@ def _find_splitter(M, ends):
         if sum(c != 0 for c in coeffs) < 2:
             continue
         mats = [
-            Matrix(
-                sum(int(c) * e.mats[v].a.astype(np.int64) for c, e in zip(coeffs, ends)) % p,
-                p,
-            )
+            sum((e.mats[v].scale(c) for c, e in zip(coeffs, ends)), Matrix.zeros(*ends[0].mats[v].shape, p))
             for v in range(nv)
         ]
         split = _try_split(M, mats)
@@ -1320,13 +1300,10 @@ def extension_middle(X, Y, cocycle):
     """
     p = X.algebra.p
     (F0, _, _, _), (F1, d1, _, _) = _resolution_stages(X, 1)[:2]
-    offs = np.cumsum([0] + [Y.dims[v] for v in F1.verts])
-    cocycle = np.asarray(cocycle, dtype=np.int64)
+    offs = _offsets(Y.dims[v] for v in F1.verts)
+    cocycle = [int(x) % p for x in cocycle]
     g = F1.map_from_generators(Y, [cocycle[offs[s] : offs[s + 1]] for s in range(len(F1.verts))])
-    relations = [
-        Matrix(np.vstack([g.mats[v].a, -d1.mats[v].a.astype(np.int64)]), p).image()
-        for v in range(X.algebra.n_vertices)
-    ]
+    relations = [vstack([g.mats[v], -d1.mats[v]]).image() for v in range(X.algebra.n_vertices)]
     return Y.direct_sum(F0.module).quotient(relations)[0]
 
 
@@ -1343,10 +1320,10 @@ def _transpose(M):
     op = M.algebra.opposite()
     P0, P1 = op.free_module(F0.verts), op.free_module(F1.verts)
     pos = [{sk: i for i, sk in enumerate(layout)} for layout in P1.layout]
-    gen_images = [np.zeros(P1.module.dims[v], dtype=np.int64) for v in F0.verts]
+    gen_images = [[0] * P1.module.dims[v] for v in F0.verts]
     for s, v in enumerate(F1.verts):
-        for c, (t, k) in zip(d1.mats[v].a[:, F1.gen_coord[s]], F0.layout[v]):
-            gen_images[t][pos[F0.verts[t]][(s, k)]] = c
+        for row, (t, k) in zip(d1.mats[v].a, F0.layout[v]):
+            gen_images[t][pos[F0.verts[t]][(s, k)]] = row[F1.gen_coord[s]]
     image = P0.map_from_generators(P1.module, gen_images).image_subspaces()
     return P1.module.quotient(image)[0]
 
@@ -1368,14 +1345,15 @@ def _scalar_power(f, q):
     for m in f.mats:
         if not m.rows:
             continue
-        r, base, e = np.eye(m.rows, dtype=np.int64), m.a.astype(np.int64), q
+        one = Matrix.identity(m.rows, p)
+        r, base, e = one, m, q
         while e:
             if e & 1:
-                r = (r @ base) % p
-            base = (base @ base) % p
+                r = r @ base
+            base = base @ base
             e >>= 1
-        c = int(r[0, 0]) if c is None else c
-        if not np.array_equal(r, c * np.eye(m.rows, dtype=np.int64)):
+        c = r.a[0][0] if c is None else c
+        if r != one.scale(c):
             return None
     return c
 
@@ -1404,18 +1382,22 @@ def _local_radical(X, ends):
         c = _scalar_power(f, q)
         if c is None:
             return None
-        rad.append([(m.a.astype(np.int64) - c * np.eye(m.rows, dtype=np.int64)) % p for m in f.mats])
-    offs = np.cumsum([0] + [d * d for d in X.dims])
+        rad.append([m - Matrix.identity(m.rows, p).scale(c) for m in f.mats])
+    offs = _offsets(d * d for d in X.dims)
 
     def flat(mats):
-        return np.concatenate([m.ravel() for m in mats]) % p
+        return tuple(x for m in mats for row in m.a for x in row)
 
-    power = Subspace.from_rows([flat(r) for r in rad], int(offs[-1]), p)
+    def unflat(row):
+        return [
+            Matrix(tuple(row[o + i * d : o + (i + 1) * d] for i in range(d)), p, d, _checked=True)
+            for o, d in zip(offs, X.dims)
+        ]
+
+    power = Subspace.from_rows([flat(r) for r in rad], offs[-1], p)
     while power.dim:
-        rows = [np.split(row.astype(np.int64), offs[1:-1]) for row in power.basis]
-        nxt = Subspace.from_rows(
-            [flat([a @ b.reshape(a.shape) for a, b in zip(r, s)]) for r in rad for s in rows], power.ambient, p
-        )
+        rows = [unflat(row) for row in power.basis]
+        nxt = Subspace.from_rows([flat([a @ b for a, b in zip(r, s)]) for r in rad for s in rows], power.ambient, p)
         if nxt.dim == power.dim or not nxt <= power:
             return None
         power = nxt
@@ -1440,22 +1422,23 @@ def _almost_split_middle(X, Z):
     """The middle term of the class of Ext^1(Z, X) in its End(X)-socle."""
     p = X.algebra.p
     cocycles, boundaries = ext1_space(Z, X)
-    C = cocycles.basis.astype(np.int64)
+    C = cocycles.matrix()
     ends = hom(X, X)
     if len(ends) > 1:
         rad = _local_radical(X, ends)
         if rad is None:
             raise AlgebraError(f"End of the module with dimension vector {X.dims} is not local over F_p")
         F1 = _resolution_stages(Z, 1)[1][0]
-        offs = np.cumsum([0] + [X.dims[v] for v in F1.verts])
-        Q = Matrix(boundaries.basis, p).kernel().basis.astype(np.int64)  # Q x = 0 iff x is a boundary
-        conds = []
-        for r in rad:
-            # r in rad End(X) postcomposes each generator's image of a cocycle
-            radC = [r[v] @ C[:, offs[s] : offs[s + 1]].T for s, v in enumerate(F1.verts)]
-            conds.append(Q @ np.vstack(radC))
-        C = Matrix(np.vstack(conds) % p, p).kernel().basis.astype(np.int64) @ C % p
-    for xi in C:
+        offs = _offsets(X.dims[v] for v in F1.verts)
+        Q = boundaries.matrix().kernel().matrix()  # Q x = 0 iff x is a boundary
+        blocks = [
+            Matrix(tuple(row[offs[s] : offs[s + 1]] for row in C.a), p, X.dims[v], _checked=True).T
+            for s, v in enumerate(F1.verts)
+        ]
+        # r in rad End(X) postcomposes each generator's image of a cocycle
+        conds = [Q @ vstack([r[v] @ b for b, v in zip(blocks, F1.verts)]) for r in rad]
+        C = vstack(conds).kernel().matrix() @ C
+    for xi in C.a:
         if not boundaries.contains_vector(xi):
             return extension_middle(Z, X, xi)
     raise CertificateFailed(f"Ext^1(tau^-1 X, X) has no socle class for X of dimension vector {X.dims}")

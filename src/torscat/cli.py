@@ -335,7 +335,7 @@ def main(argv=None):
     if args.field < 2 or any(args.field % q == 0 for q in range(2, int(args.field**0.5) + 1)):
         ap.error("--field must be a prime >= 2")
     if args.field > MAX_PRIME:
-        ap.error(f"--field must be at most {MAX_PRIME} (matrix entries are stored as uint8)")
+        ap.error(f"--field must be at most {MAX_PRIME}")
     try:
         return args.func(args)
     except UsageError as err:

@@ -1,14 +1,15 @@
 """Exact dense linear algebra over a prime field F_p.
 
-Matrices are immutable wrappers around uint8 numpy arrays with entries in
-{0, ..., p-1}; all arithmetic is mod p.  Subspaces are stored by their
+Matrices are immutable tuples of int rows with entries in {0, ..., p-1}
+and an explicit ``shape``, so a matrix with no rows still knows its
+columns; all arithmetic is mod p.  Subspaces are stored by their
 reduced-row-echelon basis, which is canonical: two subspaces are equal iff
 their stored bases are identical.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from operator import mul
 
 from ._kernels import backend_name, rref as _rref
 
@@ -24,14 +25,16 @@ __all__ = [
 ]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
-MAX_PRIME = 255  # entries are stored as uint8
+MAX_PRIME = 255
 
 
 def _check_prime(p):
+    if p in _SMALL_PRIMES:
+        return
     if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"field characteristic must be prime, got {p}")
     if p > MAX_PRIME:
-        raise ValueError(f"field characteristic must be at most {MAX_PRIME} (uint8 entries), got {p}")
+        raise ValueError(f"field characteristic must be at most {MAX_PRIME}, got {p}")
 
 
 class NoSolution(Exception):
@@ -39,120 +42,159 @@ class NoSolution(Exception):
 
 
 class Matrix:
-    __slots__ = ("a", "p")
+    """A matrix over F_p: ``a`` is a tuple of rows, each a tuple of ints in [0, p).
 
-    def __init__(self, data, p=2):
-        if p not in _SMALL_PRIMES:
+    ``data`` is a sequence of rows; entries are reduced mod p.  ``cols``
+    fixes the row length, which matters only when there are no rows.
+    ``_checked`` marks data that is already a tuple of reduced int rows of
+    length ``cols``, which must then be given, from another matrix over
+    the same field.
+    """
+
+    __slots__ = ("a", "p", "shape")
+
+    def __init__(self, data, p=2, cols=None, _checked=False):
+        if not _checked:
             _check_prime(p)
-        arr = np.asarray(data)
-        if arr.ndim != 2:
-            raise ValueError("Matrix data must be 2-dimensional")
-        arr = np.mod(arr.astype(np.int64, copy=False), p).astype(np.uint8)
-        arr.setflags(write=False)
-        object.__setattr__(self, "a", arr)
+            try:
+                data = tuple(tuple(int(x) % p for x in row) for row in data)
+            except TypeError:
+                raise ValueError("Matrix data must be 2-dimensional") from None
+            if cols is None:
+                cols = len(data[0]) if data else 0
+            if any(len(row) != cols for row in data):
+                raise ValueError(f"Matrix rows must all have length {cols}")
+        object.__setattr__(self, "a", data)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "shape", (len(data), cols))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def zeros(cls, rows, cols, p=2):
-        return cls(np.zeros((rows, cols), dtype=np.uint8), p)
+        _check_prime(p)
+        return cls(((0,) * cols,) * rows, p, cols, _checked=True)
 
     @classmethod
     def identity(cls, n, p=2):
-        return cls(np.eye(n, dtype=np.uint8), p)
+        _check_prime(p)
+        return cls(tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), p, n, _checked=True)
 
     @property
     def rows(self):
-        return self.a.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self):
-        return self.a.shape[1]
+        return self.shape[1]
+
+    def columns(self):
+        """The columns, as a tuple of int tuples."""
+        return tuple(zip(*self.a)) if self.a else ((),) * self.shape[1]
 
     @property
     def T(self):
-        return Matrix(self.a.T, self.p)
+        return Matrix(self.columns(), self.p, self.shape[0], _checked=True)
 
     def is_zero(self):
-        return not self.a.any()
+        return not any(map(any, self.a))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.p == other.p and self.a.shape == other.a.shape and np.array_equal(self.a, other.a)
+        return self.p == other.p and self.shape == other.shape and self.a == other.a
 
     def __hash__(self):
-        return hash((self.p, self.a.shape, self.a.tobytes()))
+        return hash((self.p, self.shape, self.a))
 
     def __repr__(self):
-        return f"Matrix({self.a.tolist()!r}, p={self.p})"
+        return f"Matrix({[list(row) for row in self.a]!r}, p={self.p})"
 
     def _coerce(self, other):
         if not isinstance(other, Matrix) or other.p != self.p:
             raise ValueError("field mismatch")
+        if other.shape != self.shape:
+            raise ValueError(f"shape mismatch {self.shape} and {other.shape}")
         return other
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return Matrix((self.a.astype(np.int64) + other.a) % self.p, self.p)
+        p = self._coerce(other).p
+        rows = tuple(tuple((x + y) % p for x, y in zip(r, s)) for r, s in zip(self.a, other.a))
+        return Matrix(rows, p, self.shape[1], _checked=True)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return Matrix((self.a.astype(np.int64) - other.a) % self.p, self.p)
+        p = self._coerce(other).p
+        rows = tuple(tuple((x - y) % p for x, y in zip(r, s)) for r, s in zip(self.a, other.a))
+        return Matrix(rows, p, self.shape[1], _checked=True)
 
     def __neg__(self):
-        return Matrix((-self.a.astype(np.int64)) % self.p, self.p)
+        return self.scale(-1)
 
     def __matmul__(self, other):
-        other = self._coerce(other)
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.a.shape} @ {other.a.shape}")
-        prod = self.a.astype(np.int64) @ other.a.astype(np.int64)
-        return Matrix(prod % self.p, self.p)
+        if not isinstance(other, Matrix) or other.p != self.p:
+            raise ValueError("field mismatch")
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        p, cols = self.p, other.columns()
+        rows = tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in self.a)
+        return Matrix(rows, p, other.shape[1], _checked=True)
+
+    def apply(self, v):
+        """M v for a vector v of length cols, as a tuple."""
+        p = self.p
+        return tuple(sum(map(mul, r, v)) % p for r in self.a)
 
     def scale(self, c):
-        return Matrix((self.a.astype(np.int64) * int(c)) % self.p, self.p)
+        p = self.p
+        c = int(c) % p
+        return Matrix(tuple(tuple(x * c % p for x in r) for r in self.a), p, self.shape[1], _checked=True)
 
     def rref(self):
         """(reduced row echelon form, rank)."""
-        r, pivots = _rref(self.a, self.p)
-        return Matrix(r, self.p), len(pivots)
+        r, pivots = _rref(self)
+        return Matrix(r, self.p, self.shape[1], _checked=True), len(pivots)
 
     def rank(self):
-        return len(_rref(self.a, self.p)[1])
+        return len(_rref(self)[1])
 
     def kernel(self):
         """Right null space {x : M x = 0} as a Subspace of F_p^cols."""
-        r, pivots = _rref(self.a, self.p)
-        n = self.cols
-        free = [c for c in range(n) if c not in set(pivots)]
-        vecs = np.zeros((len(free), n), dtype=np.int64)
-        for k, f in enumerate(free):
-            vecs[k, f] = 1
-            for row, c in enumerate(pivots):
-                vecs[k, c] = -int(r[row, f])
-        return Subspace.from_rows(vecs % self.p, n, self.p)
+        r, pivots = _rref(self)
+        p, n = self.p, self.shape[1]
+        pivset = set(pivots)
+        vecs = []
+        for f in range(n):
+            if f in pivset:
+                continue
+            vec = [0] * n
+            vec[f] = 1
+            for row, c in zip(r, pivots):
+                vec[c] = -row[f] % p
+            vecs.append(vec)
+        return Subspace.from_rows(vecs, n, p)
 
     def image(self):
         """Column space as a Subspace of F_p^rows."""
-        return Subspace.from_rows(self.a.T, self.rows, self.p)
+        return Subspace.from_rows(self.columns(), self.shape[0], self.p)
 
     def row_space(self):
-        return Subspace.from_rows(self.a, self.cols, self.p)
+        return Subspace.from_rows(self.a, self.shape[1], self.p)
 
 
 def hstack(mats):
     mats = list(mats)
-    p = mats[0].p
-    return Matrix(np.hstack([m.a for m in mats]), p)
+    if len({m.rows for m in mats}) != 1:
+        raise ValueError("hstack needs matrices with equal row counts")
+    rows = tuple(sum(parts, ()) for parts in zip(*(m.a for m in mats)))
+    return Matrix(rows, mats[0].p, sum(m.cols for m in mats), _checked=True)
 
 
 def vstack(mats):
     mats = list(mats)
-    p = mats[0].p
-    return Matrix(np.vstack([m.a for m in mats]), p)
+    if len({m.cols for m in mats}) != 1:
+        raise ValueError("vstack needs matrices with equal column counts")
+    return Matrix(sum((m.a for m in mats), ()), mats[0].p, mats[0].cols, _checked=True)
 
 
 def solve(A, B):
@@ -165,19 +207,19 @@ def solve(A, B):
         raise ValueError("field mismatch")
     if A.rows != B.rows:
         raise ValueError("A and B must have the same number of rows")
-    n = A.cols
-    aug = np.hstack([A.a, B.a])
-    r, pivots = _rref(aug, A.p)
-    if any(c >= n for c in pivots):
+    n, k = A.cols, B.cols
+    aug = Matrix(tuple(a + b for a, b in zip(A.a, B.a)), A.p, n + k, _checked=True)
+    r, pivots = _rref(aug)
+    if pivots and pivots[-1] >= n:
         raise NoSolution("inconsistent linear system")
-    X = np.zeros((n, B.cols), dtype=np.uint8)
-    for row, c in enumerate(pivots):
-        X[c] = r[row, n:]
-    return Matrix(X, A.p)
+    X = [(0,) * k] * n
+    for row, c in zip(r, pivots):
+        X[c] = row[n:]
+    return Matrix(tuple(X), A.p, k, _checked=True)
 
 
 class Subspace:
-    """A subspace of F_p^ambient with a canonical (RREF) basis."""
+    """A subspace of F_p^ambient with a canonical (RREF) basis, a tuple of int rows."""
 
     __slots__ = ("ambient", "p", "basis", "pivots")
 
@@ -192,44 +234,43 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, rows, ambient, p=2):
-        arr = np.asarray(rows, dtype=np.int64)
-        if arr.size == 0:
-            arr = arr.reshape((0, ambient))
-        if arr.shape[1] != ambient:
-            raise ValueError("row length does not match ambient dimension")
-        r, pivots = _rref(np.mod(arr, p).astype(np.uint8), p)
-        r = r[: len(pivots)]
-        r.setflags(write=False)
-        return cls(r, ambient, p, tuple(pivots))
+        r, pivots = _rref(Matrix(rows, p, ambient))
+        return cls(r[: len(pivots)], ambient, p, pivots)
 
     @classmethod
     def zero(cls, ambient, p=2):
-        return cls.from_rows(np.zeros((0, ambient)), ambient, p)
+        return cls.from_rows((), ambient, p)
 
     @classmethod
     def full(cls, ambient, p=2):
-        return cls.from_rows(np.eye(ambient), ambient, p)
+        return cls.from_rows(Matrix.identity(ambient, p).a, ambient, p)
 
     @property
     def dim(self):
-        return self.basis.shape[0]
+        return len(self.basis)
+
+    def matrix(self):
+        """The basis as the rows of a Matrix."""
+        return Matrix(self.basis, self.p, self.ambient, _checked=True)
 
     def is_zero(self):
-        return self.dim == 0
+        return not self.basis
 
     def is_full(self):
-        return self.dim == self.ambient
+        return len(self.basis) == self.ambient
 
     def reduce_vector(self, v):
-        """Residue of v after eliminating all pivot coordinates."""
-        v = np.mod(np.asarray(v, dtype=np.int64), self.p)
-        for row, c in enumerate(self.pivots):
-            if v[c]:
-                v = (v - v[c] * self.basis[row].astype(np.int64)) % self.p
+        """Residue of v after eliminating all pivot coordinates, as a list."""
+        p = self.p
+        v = [int(x) % p for x in v]
+        for row, c in zip(self.basis, self.pivots):
+            f = v[c]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
         return v
 
     def contains_vector(self, v):
-        return not self.reduce_vector(v).any()
+        return not any(self.reduce_vector(v))
 
     def __le__(self, other):
         if self.ambient != other.ambient or self.p != other.p:
@@ -239,15 +280,10 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.ambient == other.ambient
-            and self.basis.shape == other.basis.shape
-            and np.array_equal(self.basis, other.basis)
-        )
+        return self.p == other.p and self.ambient == other.ambient and self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.p, self.ambient, self.basis.tobytes()))
+        return hash((self.p, self.ambient, self.basis))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, p={self.p})"
@@ -255,8 +291,7 @@ class Subspace:
     def __add__(self, other):
         if self.ambient != other.ambient or self.p != other.p:
             raise ValueError("ambient mismatch")
-        rows = np.vstack([self.basis, other.basis])
-        return Subspace.from_rows(rows, self.ambient, self.p)
+        return Subspace.from_rows(self.basis + other.basis, self.ambient, self.p)
 
     def intersection(self, other):
         if self.ambient != other.ambient or self.p != other.p:
@@ -264,11 +299,12 @@ class Subspace:
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.ambient, self.p)
         # x = a . B1 = b . B2; kernel of [B1^T | -B2^T] gives the (a, b).
-        stacked = np.hstack([self.basis.T.astype(np.int64), -other.basis.T.astype(np.int64)])
-        ker = Matrix(stacked % self.p, self.p).kernel()
-        coeffs = ker.basis[:, : self.dim]
-        rows = coeffs.astype(np.int64) @ self.basis.astype(np.int64)
-        return Subspace.from_rows(rows % self.p, self.ambient, self.p)
+        p, d = self.p, self.dim
+        stacked = Matrix(self.basis + tuple(tuple(-x % p for x in row) for row in other.basis), p, self.ambient)
+        ker = stacked.T.kernel()
+        coeffs = Matrix(tuple(row[:d] for row in ker.basis), p, d, _checked=True)
+        rows = coeffs @ self.matrix()
+        return Subspace.from_rows(rows.a, self.ambient, p)
 
     def free_coords(self):
         """Coordinates not used as pivots; standard vectors there span a complement."""

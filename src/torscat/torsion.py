@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from .algebra import (
     _isomorphic_indecomposables,
     ar_quiver,
@@ -162,17 +160,17 @@ class ModuleContext:
             tab = mesh_hom_dims(self.indecs, self.ar) if self.ar is not None else None
             if tab is None:
                 tab = [[hom_dim(X, Y) for Y in self.indecs] for X in self.indecs]
-            self._t["hom"] = np.array(tab, dtype=np.int16).reshape(self.k, self.k)
+            self._t["hom"] = tuple(map(tuple, tab))
         return self._t["hom"]
 
     def hom_out(self, i):
         if "hom_out" not in self._t:
             tab = self.hom_table()
             self._t["hom_out"] = [
-                sum(1 << j for j in range(self.k) if tab[a, j]) for a in range(self.k)
+                sum(1 << j for j in range(self.k) if tab[a][j]) for a in range(self.k)
             ]
             self._t["hom_in"] = [
-                sum(1 << a for a in range(self.k) if tab[a, j]) for j in range(self.k)
+                sum(1 << a for a in range(self.k) if tab[a][j]) for j in range(self.k)
             ]
         return self._t["hom_out"][i]
 
@@ -184,7 +182,7 @@ class ModuleContext:
         """The M_i with End(M_i) = F_p, as a mask (the End-dimension test)."""
         if "bricks" not in self._t:
             tab = self.hom_table()
-            self._t["bricks"] = sum(1 << i for i in range(self.k) if tab[i, i] == 1)
+            self._t["bricks"] = sum(1 << i for i in range(self.k) if tab[i][i] == 1)
         return self._t["bricks"]
 
     def trace_subspaces(self, j, mask):
@@ -195,7 +193,7 @@ class ModuleContext:
             H = [f for i in bits(key[2]) for f in self._hom_basis(i, j)]
             p = self.algebra.p
             self._t[key] = tuple(
-                Subspace.from_rows(np.vstack([f.mats[v].a.T for f in H]), d, p) if H else Subspace.zero(d, p)
+                Subspace.from_rows([col for f in H for col in f.mats[v].columns()], d, p)
                 for v, d in enumerate(self.indecs[j].dims)
             )
         return self._t[key]
@@ -268,17 +266,19 @@ class ModuleContext:
             if "omega" not in self._t:
                 self._t["omega"] = [self.identify(syzygy(m, 1)) for m in self.indecs]
             if n == 1:
-                h = self.hom_table().astype(np.int64)
-                simples = list(self.vertex_types()["S"])
-                dims = np.array([m.dims for m in self.indecs], dtype=np.int64)
-                tab = h - h[:, simples] @ dims.T
+                h = self.hom_table()
+                simples = self.vertex_types()["S"]
+                tab = [
+                    [h[i][j] - sum(h[i][S] * d for S, d in zip(simples, M.dims)) for j, M in enumerate(self.indecs)]
+                    for i in range(self.k)
+                ]
             else:
-                h = self.ext_table(n - 1).astype(np.int64)
-                tab = np.zeros_like(h)
+                h = self.ext_table(n - 1)
+                tab = [[0] * self.k for _ in range(self.k)]
             for i, summands in enumerate(self._t["omega"]):
                 for w, mult in summands:
-                    tab[i] += mult * h[w]
-            self._t[key] = tab.astype(np.int16)
+                    tab[i] = [x + mult * y for x, y in zip(tab[i], h[w])]
+            self._t[key] = tuple(map(tuple, tab))
         return self._t[key]
 
     def ext_bad(self, n):
@@ -286,7 +286,7 @@ class ModuleContext:
         if key not in self._t:
             tab = self.ext_table(n)
             self._t[key] = [
-                sum(1 << j for j in range(self.k) if tab[i, j]) for i in range(self.k)
+                sum(1 << j for j in range(self.k) if tab[i][j]) for i in range(self.k)
             ]
         return self._t[key]
 
@@ -307,7 +307,7 @@ class ModuleContext:
         if "pc" not in self._t:
             vt, h = self.vertex_types(), self.hom_table()
             self._t["pc"] = [
-                sum(1 << P for S, P in zip(vt["S"], vt["P"]) if h[i, S]) for i in range(self.k)
+                sum(1 << P for S, P in zip(vt["S"], vt["P"]) if h[i][S]) for i in range(self.k)
             ]
         return self._t["pc"]
 
@@ -316,7 +316,7 @@ class ModuleContext:
         if "ie" not in self._t:
             vt, h = self.vertex_types(), self.hom_table()
             self._t["ie"] = [
-                sum(1 << I for S, I in zip(vt["S"], vt["I"]) if h[S, i]) for i in range(self.k)
+                sum(1 << I for S, I in zip(vt["S"], vt["I"]) if h[S][i]) for i in range(self.k)
             ]
         return self._t["ie"]
 
@@ -494,7 +494,7 @@ _INCOMPLETE = " (the indecomposable list may be incomplete)"
 def _semibricks(hom, bricks):
     """Every nonempty semibrick, as (S, b): the semibrick S | b grows S, an
     earlier answer or the empty one, by a brick b above every brick of S."""
-    orth = {b: sum(1 << c for c in bits(bricks) if not hom[b, c] and not hom[c, b]) for b in bits(bricks)}
+    orth = {b: sum(1 << c for c in bits(bricks) if not hom[b][c] and not hom[c][b]) for b in bits(bricks)}
     stack = [(0, bricks)]  # (S, the bricks above max S orthogonal to all of S)
     while stack:
         S, grow = stack.pop()

@@ -65,6 +65,16 @@ from torscat.linalg import Matrix, Subspace, solve
 from torscat.poset import Poset, bits
 
 
+def as_array(m):
+    """A Matrix as an int64 array of its shape."""
+    return np.array(m.a, dtype=np.int64).reshape(m.shape)
+
+
+def from_array(arr, p):
+    """A 2-d integer array as a Matrix over F_p."""
+    return Matrix(arr.tolist(), p, arr.shape[1])
+
+
 class RrefTorsion:
     def __init__(self, ctx):
         self.ctx = ctx
@@ -89,7 +99,7 @@ class RrefTorsion:
             M, p = self.ctx.indecs[j], self.ctx.algebra.p
             out = []
             for v, d in enumerate(M.dims):
-                rows = [f.mats[v].a.T for i in bits(relevant) for f in self.homs(i, j)]
+                rows = [as_array(f.mats[v]).T for i in bits(relevant) for f in self.homs(i, j)]
                 out.append(Subspace.from_rows(np.vstack(rows), d, p) if rows else Subspace.zero(d, p))
             self._trace[key] = tuple(out)
         return self._trace[key]
@@ -178,7 +188,7 @@ def extension_middles(X, Y):
     span = boundaries
     for row in cocycles.basis:
         if not span.contains_vector(row):
-            reps.append(row.astype(np.int64))
+            reps.append(np.array(row, dtype=np.int64))
             span = span + Subspace.from_rows([row], cocycles.ambient, p)
     return [
         extension_middle(X, Y, sum(c * row for c, row in zip(coeffs, reps)) % p)
@@ -212,10 +222,10 @@ def _gl_order(d, p):
 def _gl_data(d, p):
     """(indices of invertible matrices, inverse-index array) for d x d over F_p."""
     mats = _all_mats(d, d, p)
-    gl = [enc for enc, m in enumerate(mats) if Matrix(m, p).rank() == d]
+    gl = [enc for enc, m in enumerate(mats) if from_array(m, p).rank() == d]
     pos = {enc: i for i, enc in enumerate(gl)}
     eye = Matrix.identity(d, p)
-    inv_idx = [pos[_encode(solve(Matrix(mats[enc], p), eye).a, p)] for enc in gl]
+    inv_idx = [pos[_encode(as_array(solve(from_array(mats[enc], p), eye)), p)] for enc in gl]
     return gl, np.array(inv_idx, dtype=np.int32), mats
 
 
@@ -304,8 +314,8 @@ def _coordinate_connected(dims, raw_mats, arrows):
         return x
 
     for m, a in zip(raw_mats, arrows):
-        for r, c in zip(*np.nonzero(m)):
-            ra, rb = find(int(offs[a.tgt]) + int(r)), find(int(offs[a.src]) + int(c))
+        for r, c in ((r, c) for r, row in enumerate(m) for c, x in enumerate(row) if x):
+            ra, rb = find(int(offs[a.tgt]) + r), find(int(offs[a.src]) + c)
             if ra != rb:
                 parent[rb] = ra
     root = find(0)
@@ -409,7 +419,7 @@ def _indecs_for_dimvec(A, dvec, tables, group_cap):
                 m = assigned.get(ai)
                 if m is None:
                     m = np.zeros((dvec[a.tgt], dvec[a.src]), dtype=np.uint8)
-                mats.append(Matrix(m, p))
+                mats.append(from_array(m, p))
             M = Module(A, dvec, mats, check=False)
             if is_indecomposable(M):
                 results.append(M)
@@ -469,7 +479,7 @@ def search_isomorphism(M, N, search_cap=4096):
         if not any(coeffs):
             continue
         mats = [
-            Matrix(sum(int(c) * h.mats[v].a.astype(np.int64) for c, h in zip(coeffs, H)) % p, p)
+            from_array(sum(int(c) * as_array(h.mats[v]) for c, h in zip(coeffs, H)), p)
             for v in range(nv)
         ]
         if all(m.rank() == M.dims[v] for v, m in enumerate(mats)):
@@ -490,11 +500,11 @@ def has_splitter(M):
             for coeffs in itertools.product(range(1, p), repeat=k - 1):
                 rank = 0
                 for v, d in enumerate(M.dims):
-                    f = sum(c * g.mats[v].a.astype(np.int64) for c, g in zip((1, *coeffs), support)) % p
+                    f = sum(c * as_array(g.mats[v]) for c, g in zip((1, *coeffs), support)) % p
                     power = np.eye(d, dtype=np.int64)
                     for _ in range(n):
                         power = (power @ f) % p
-                    rank += Matrix(power, p).rank()
+                    rank += from_array(power, p).rank()
                 if 0 < rank < n:
                     return True
     return False

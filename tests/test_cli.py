@@ -1,7 +1,10 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -361,6 +364,48 @@ def test_dot_bytes_are_pinned(tmp_path, capsys, argv):
     code, _, err = run(capsys, "--dot", str(target), *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(target.read_bytes()).hexdigest() == PINNED_DOT[argv]
+
+
+NO_NUMPY_RUNS = (
+    ("--json", "tors", "int:2"),
+    ("--field", "3", "verify", "prop-main"),
+    ("--json", "verify", "thm2", "--n", "6"),
+)
+
+NO_NUMPY_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now fails
+before = set(sys.modules)
+import torscat.cli
+added = {name.split(".")[0] for name in set(sys.modules) - before}
+digests = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = torscat.cli.main(argv)
+    digests.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+print(json.dumps({"third_party": sorted(added - set(sys.stdlib_module_names) - {"torscat"}), "runs": digests}))
+"""
+
+
+def test_cli_runs_without_numpy():
+    # a fresh interpreter in which numpy cannot be imported gives the pinned bytes,
+    # and importing the CLI loads nothing outside the standard library
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, json.dumps(NO_NUMPY_RUNS)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    assert report["third_party"] == []
+    assert report["runs"] == [[0, PINNED_OUTPUTS[argv]] for argv in NO_NUMPY_RUNS]
+    plain = subprocess.run(
+        [sys.executable, "-c", "import sys, torscat.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (plain.returncode, plain.stdout) == (0, "False\n"), plain.stderr
 
 
 def test_failed_certificate_is_a_verification_failure(capsys, monkeypatch):

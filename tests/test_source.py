@@ -2,6 +2,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,11 +20,13 @@ def test_no_assert_statements():
     assert found == []
 
 
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
 def test_tracer_targets_resolve(monkeypatch):
     # the benchmark's tracer skips a target it cannot find or that is a
     # generator function, and the metrics that depend on it go missing
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
@@ -40,6 +45,37 @@ def test_tracer_targets_resolve(monkeypatch):
         if not callable(func) or inspect.isgeneratorfunction(func):
             unresolved.append(f"{t.module}.{t.attr}")
     assert len(tracer.TARGETS) > 40 and unresolved == []
+
+
+TRACED_RUN = """
+import contextlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = tracer
+spec.loader.exec_module(tracer)
+from torscat.cli import main
+t = tracer.Tracer()
+t.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    rc, total = t.run(main, ["tors", "int:2"])
+print(json.dumps({"rc": rc, "absent": t.absent, "metrics": tracer.layer_metrics(t.snapshot(total))}))
+"""
+
+
+def test_traced_run_counts_the_kernel():
+    # the tracer sizes each rref call by its first argument's shape; a kernel
+    # argument without one makes every traced benchmark run fail.  The run is
+    # in a fresh interpreter, as installing the tracer rewraps torscat for good
+    src = str(Path(torscat.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(TRACER)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    assert report["rc"] == 0 and report["absent"] == []
+    assert report["metrics"]["linalg.rref.ops"] > 0
+    assert report["metrics"]["linalg.matrix.constructions"] > 0
 
 
 def test_oracles_import_no_private_name():

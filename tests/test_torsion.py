@@ -242,14 +242,14 @@ def test_mesh_hom_table_matches_hom(case):
     ctx = table_context(case)
     # the mesh system is singular exactly when the Cartan matrix is; then Hom is solved pair by pair
     assert (mesh_hom_dims(ctx.indecs, ctx.ar) is None) == (case == "rad2-two-cycle")
-    assert ctx.hom_table().tolist() == [[len(hom(X, Y)) for Y in ctx.indecs] for X in ctx.indecs]
+    assert list(map(list, ctx.hom_table())) == [[len(hom(X, Y)) for Y in ctx.indecs] for X in ctx.indecs]
 
 
 @pytest.mark.parametrize("case", TABLE_CASES)
 def test_ext_tables_match_resolutions(case):
     ctx = table_context(case)
     for n in (1, 2):
-        assert ctx.ext_table(n).tolist() == [[ext(X, Y, n) for Y in ctx.indecs] for X in ctx.indecs], n
+        assert list(map(list, ctx.ext_table(n))) == [[ext(X, Y, n) for Y in ctx.indecs] for X in ctx.indecs], n
 
 
 @pytest.mark.parametrize("case", TABLE_CASES)
@@ -545,7 +545,7 @@ def assert_irreducibles_are_bricks(TL, bricks):
     # Demonet-Iyama-Jasso (arXiv:1503.00285): join-irreducible torsion classes
     # biject with bricks, and so do the meet-irreducible ones
     hom = TL.context.hom_table()
-    assert sum(1 for i in range(TL.context.k) if hom[i, i] == 1) == bricks
+    assert sum(1 for i in range(TL.context.k) if hom[i][i] == 1) == bricks
     assert len(TL.join_irreducibles()) == len(TL.meet_irreducibles()) == bricks
 
 
