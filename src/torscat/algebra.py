@@ -699,8 +699,8 @@ class Module:
                     row[c] = -brow[f]
                 pi.append(row)
             projs.append(Matrix(pi, A.p, self.dims[v]))
-            eye = Matrix.identity(self.dims[v], A.p).a
-            sections.append(Matrix(tuple(eye[f] for f in free), A.p, self.dims[v], _checked=True).T)
+            unit = tuple(tuple(int(i == f) for f in free) for i in range(self.dims[v]))
+            sections.append(Matrix(unit, A.p, len(free), _checked=True))
         mats = []
         for ai, a in enumerate(A.arrows):
             stability = projs[a.tgt] @ self.mats[ai] @ subspaces[a.src].matrix().T

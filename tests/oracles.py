@@ -314,10 +314,11 @@ def _coordinate_connected(dims, raw_mats, arrows):
         return x
 
     for m, a in zip(raw_mats, arrows):
-        for r, c in ((r, c) for r, row in enumerate(m) for c, x in enumerate(row) if x):
-            ra, rb = find(int(offs[a.tgt]) + r), find(int(offs[a.src]) + c)
-            if ra != rb:
-                parent[rb] = ra
+        for r, row in enumerate(m):
+            for c in (c for c, x in enumerate(row) if x):
+                ra, rb = find(int(offs[a.tgt]) + r), find(int(offs[a.src]) + c)
+                if ra != rb:
+                    parent[rb] = ra
     root = find(0)
     return all(find(x) == root for x in range(total))
 
