@@ -46,9 +46,9 @@ class Matrix:
 
     ``data`` is a sequence of rows; entries are reduced mod p.  ``cols``
     fixes the row length, which matters only when there are no rows.
-    ``_checked`` marks data that is already a tuple of reduced int rows of
-    length ``cols``, which must then be given, from another matrix over
-    the same field.
+    ``_checked=True`` skips the reduction and the checks: ``data`` is then
+    already a tuple of int rows in [0, p), each of length ``cols``, which
+    must be given.
     """
 
     __slots__ = ("a", "p", "shape")
