@@ -9,7 +9,7 @@ and lattice congruences.
 """
 
 from .linalg import Matrix, NoSolution, Subspace, backend_name, solve
-from .poset import Ideal, Poset, ideal_lattice, interval_poset, order_ideals, poset_isomorphic
+from .poset import Poset, ideal_lattice, interval_poset, poset_isomorphic
 from .lattice import (
     Congruence,
     FinLattice,
@@ -22,8 +22,6 @@ from .lattice import (
     principal_congruence,
 )
 from .catalan import (
-    DyckPath,
-    brick_forcing_poset,
     dyck_lattice,
     dyck_paths,
     dyck_to_ideal,
@@ -59,20 +57,15 @@ from .algebra import (
 from .torsion import (
     BudgetExceeded,
     ModuleContext,
-    Subcat,
     TorsionLattice,
     TorsionPair,
     VerificationFailed,
     enumerate_torsion_pairs,
-    free_closure,
     is_cohereditary,
     is_hereditary,
     is_omega_n,
     is_split,
-    left_perp,
     omega_lattice_via_simples,
-    perp,
-    torsion_closure,
     verify_dyck_omega_iso,
     verify_tamari_congruence_iso,
     verify_two_cycle_example,

@@ -46,12 +46,10 @@ __all__ = [
     "cosyzygy",
     "min_resolution",
     "ext",
-    "ext_via_injectives",
     "ext1_space",
     "extension_middle",
     "tau",
     "tau_inverse",
-    "almost_split_sequence",
     "decompose",
     "modules_isomorphic",
     "indecomposables",
@@ -1130,11 +1128,6 @@ def ext(M, N, n):
     return dim_hom - rank_in - rank_out
 
 
-def ext_via_injectives(M, N, n):
-    """dim Ext^n(M, N) computed from an injective coresolution of N, by duality."""
-    return ext(N.dual(), M.dual(), n)
-
-
 def global_dimension(A, probe_bound=12):
     """Max projective dimension over the simples, probing up to probe_bound."""
     best = 0
@@ -1404,22 +1397,16 @@ def _local_radical(X, ends):
     return rad
 
 
-def almost_split_sequence(X):
-    """(E, Z) for the almost split sequence 0 -> X -> E -> Z -> 0, or None.
-
-    X is indecomposable; None means X is injective.  Z = tau^{-1} X, and
-    the sequence is the class of Ext^1(Z, X) in the socle of Ext^1 as an
-    End(X)-module (postcomposition), cut out by ``_local_radical``; when X
-    is a brick every nonzero class is in the socle.
-    """
-    Z = tau_inverse(X)
-    if Z.is_zero():
-        return None
-    return _almost_split_middle(X, Z), Z
-
-
 def _almost_split_middle(X, Z):
-    """The middle term of the class of Ext^1(Z, X) in its End(X)-socle."""
+    """The middle term E of the almost split sequence 0 -> X -> E -> Z -> 0.
+
+    X is indecomposable and not injective, and Z = tau^{-1} X.  The
+    sequence is the class of Ext^1(Z, X) in the socle of Ext^1 as an
+    End(X)-module (postcomposition), cut out by ``_local_radical``; when X
+    is a brick every nonzero class is in the socle.  An End(X) that is not
+    local with residue field F_p fails the certificate the knitting (and
+    ``mesh_hom_dims``) relies on, and raises CertificateFailed.
+    """
     p = X.algebra.p
     cocycles, boundaries = ext1_space(Z, X)
     C = cocycles.matrix()
@@ -1427,7 +1414,7 @@ def _almost_split_middle(X, Z):
     if len(ends) > 1:
         rad = _local_radical(X, ends)
         if rad is None:
-            raise AlgebraError(f"End of the module with dimension vector {X.dims} is not local over F_p")
+            raise CertificateFailed(f"End of the module with dimension vector {X.dims} is not local over F_p")
         F1 = _resolution_stages(Z, 1)[1][0]
         offs = _offsets(X.dims[v] for v in F1.verts)
         Q = boundaries.matrix().kernel().matrix()  # Q x = 0 iff x is a boundary

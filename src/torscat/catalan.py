@@ -10,21 +10,17 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .lattice import FinLattice, check_joins_are_unions, check_size
-from .poset import Ideal, Poset, interval_poset, transitive_closure
+from .poset import Poset, interval_poset, transitive_closure
 
 __all__ = [
-    "DyckPath",
     "dyck_paths",
     "dyck_lattice",
     "dyck_to_ideal",
     "binary_trees",
     "tree_to_parens",
-    "parens_to_tree",
     "tamari_lattice",
     "typeA_torsion_classes",
     "typeA_torsion_lattice",
-    "brick_forcing_poset",
-    "rel_star_poset",
 ]
 
 
@@ -35,46 +31,6 @@ def _heights(steps):
         h += 1 if s == "U" else -1
         out.append(h)
     return tuple(out)
-
-
-class DyckPath:
-    """A balanced U/D path of 2n steps staying at nonnegative height."""
-
-    __slots__ = ("steps", "heights")
-
-    def __init__(self, steps):
-        steps = str(steps)
-        if any(s not in "UD" for s in steps):
-            raise ValueError("steps must consist of 'U' and 'D'")
-        h = _heights(steps)
-        if min(h) < 0 or h[-1] != 0:
-            raise ValueError(f"not a Dyck path: {steps!r}")
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "heights", h)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DyckPath is immutable")
-
-    @property
-    def n(self):
-        return len(self.steps) // 2
-
-    def dominates(self, other):
-        return all(a >= b for a, b in zip(self.heights, other.heights))
-
-    def __le__(self, other):
-        return other.dominates(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, DyckPath):
-            return NotImplemented
-        return self.steps == other.steps
-
-    def __hash__(self):
-        return hash(self.steps)
-
-    def __repr__(self):
-        return f"DyckPath({self.steps!r})"
 
 
 def dyck_paths(n):
@@ -119,30 +75,29 @@ def dyck_lattice(n):
     return L
 
 
-def dyck_to_ideal(path, n=None, target=None):
-    """Order ideal of interval_poset(n-1) formed by the boxes under the path.
+def dyck_to_ideal(path, target=None):
+    """Order ideal of interval_poset(n-1), as a bitmask, formed by the boxes
+    under the U/D path with n up-steps.
 
     The box [i, j] (1 <= i <= j <= n-1) lies strictly between the zigzag
     and the path exactly when the height at step i+j is at least j-i+2.
     This is a bijection onto the ideals, and an order isomorphism from the
-    dominance order (checked exhaustively in the tests).
+    dominance order (checked exhaustively in the tests).  A word that is
+    not a Dyck path raises ValueError.
     """
-    if not isinstance(path, DyckPath):
-        path = DyckPath(path)
-    if n is None:
-        n = path.n
-    if path.n != n:
-        raise ValueError("path has wrong semilength")
+    h = _heights(path)
+    if set(path) - {"U", "D"} or min(h) < 0 or h[-1] != 0:
+        raise ValueError(f"not a Dyck path: {path!r}")
     if target is None:
+        n = len(path) // 2
         target = interval_poset(n - 1) if n >= 2 else Poset.antichain(0)
-    h = path.heights
     mask = 0
     for k, lab in enumerate(target.labels):
         i, j = lab.strip("[]").split(",")
         i, j = int(i), int(j)
         if h[i + j] >= j - i + 2:
             mask |= 1 << k
-    return Ideal(target, mask)
+    return mask
 
 
 # -- binary trees and the Tamari lattice -------------------------------------
@@ -164,27 +119,6 @@ def binary_trees(n):
 def tree_to_parens(t):
     """The classical bijection onto balanced strings: (l, r) -> '(' l ')' r."""
     return "" if t is None else "(" + tree_to_parens(t[0]) + ")" + tree_to_parens(t[1])
-
-
-def parens_to_tree(s):
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        if pos >= len(s) or s[pos] != "(":
-            return None
-        pos += 1
-        l = parse()
-        if pos >= len(s) or s[pos] != ")":
-            raise ValueError(f"unbalanced parenthesis string {s!r}")
-        pos += 1
-        r = parse()
-        return (l, r)
-
-    t = parse()
-    if pos != len(s):
-        raise ValueError(f"trailing characters in {s!r}")
-    return t
 
 
 def _rotations_up(t):
@@ -285,18 +219,3 @@ def typeA_torsion_lattice(n):
         mem = [f"M[{ivs[t][0]},{ivs[t][1]}]" for t in range(len(ivs)) if (c >> t) & 1]
         labels.append("{" + ",".join(mem) + "}")
     return FinLattice.from_sets(classes, labels)
-
-
-def brick_forcing_poset(n):
-    """Intervals of [n] under reverse containment."""
-    return interval_poset(n).opposite()
-
-
-def rel_star_poset(n):
-    """Intervals [a,b], a < b, of a total order with n elements, by containment.
-
-    Identified with interval_poset(n-1) via [a,b] -> [a,b-1].
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return interval_poset(n - 1)

@@ -11,9 +11,7 @@ import json
 
 __all__ = [
     "Poset",
-    "Ideal",
     "interval_poset",
-    "order_ideals",
     "ideal_lattice",
     "poset_isomorphic",
     "poset_isos",
@@ -117,14 +115,12 @@ class Poset:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_leq_pairs(cls, labels, pairs, close=True):
-        n = len(labels)
-        up = [1 << i for i in range(n)]
+    def from_leq_pairs(cls, labels, pairs):
+        """The order generated by the pairs (i, j), i <= j: their reflexive-transitive closure."""
+        up = [1 << i for i in range(len(labels))]
         for i, j in pairs:
             up[i] |= 1 << j
-        if close:
-            up = transitive_closure(up)
-        return cls(labels, up)
+        return cls(labels, transitive_closure(up))
 
     @classmethod
     def chain(cls, n):
@@ -156,17 +152,6 @@ class Poset:
     def cover_pairs(self):
         return [(i, j) for i in range(self.n) for j in bits(self.covers()[i])]
 
-    def minimals(self):
-        dn = self.down()
-        return [i for i in range(self.n) if dn[i] == 1 << i]
-
-    def maximals(self):
-        return [i for i in range(self.n) if self.up[i] == 1 << i]
-
-    def linear_extension(self):
-        dn = self.down()
-        return sorted(range(self.n), key=lambda i: (bin(dn[i]).count("1"), i))
-
     def opposite(self):
         return Poset(self.labels, self.down(), _checked=True)
 
@@ -192,7 +177,7 @@ class Poset:
         if isinstance(data, str):
             data = json.loads(data)
         labels = data["elements"]
-        return cls.from_leq_pairs(labels, [tuple(x) for x in data["leq"]], close=True)
+        return cls.from_leq_pairs(labels, [tuple(x) for x in data["leq"]])
 
     def to_dot(self, name="poset"):
         lines = [f"digraph {name} {{", "  rankdir=BT;"]
@@ -219,71 +204,6 @@ def interval_poset(n):
         up.append(m)
     labels = [f"[{i},{j}]" for (i, j) in ivs]
     return Poset(labels, up, _checked=True)
-
-
-class Ideal:
-    """A downward-closed subset of a poset, stored as a bitmask."""
-
-    __slots__ = ("poset", "mask")
-
-    def __init__(self, poset, mask, _checked=False):
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "mask", int(mask))
-        if not _checked:
-            dn = poset.down()
-            for j in bits(self.mask):
-                if dn[j] & ~self.mask:
-                    raise ValueError("subset is not downward closed")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ideal is immutable")
-
-    def members(self):
-        return [self.poset.labels[i] for i in bits(self.mask)]
-
-    def __contains__(self, i):
-        return bool((self.mask >> i) & 1)
-
-    def __eq__(self, other):
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        return self.poset == other.poset and self.mask == other.mask
-
-    def __hash__(self):
-        return hash((self.poset, self.mask))
-
-    def __le__(self, other):
-        return self.mask & ~other.mask == 0
-
-    def __repr__(self):
-        return f"Ideal({sorted(bits(self.mask))})"
-
-
-def iter_ideal_masks(P):
-    """All order ideals of P as bitmasks, iteratively (no recursion depth limit).
-
-    Each ideal is produced exactly once: elements are added in increasing
-    position along a fixed linear extension, so an ideal's build sequence is
-    unique.
-    """
-    order = P.linear_extension()
-    dn = P.down()
-    strict = [dn[e] & ~(1 << e) for e in order]
-    ebit = [1 << e for e in order]
-    n = P.n
-    stack = [(0, 0)]
-    while stack:
-        mask, start = stack.pop()
-        yield mask
-        for idx in range(start, n):
-            if not mask & ebit[idx] and strict[idx] & ~mask == 0:
-                stack.append((mask | ebit[idx], idx + 1))
-
-
-def order_ideals(P):
-    """All order ideals of P, sorted by (size, mask)."""
-    masks = sorted(iter_ideal_masks(P), key=lambda m: (bin(m).count("1"), m))
-    return [Ideal(P, m, _checked=True) for m in masks]
 
 
 def ideal_lattice(P):

@@ -42,7 +42,7 @@ from .lattice import (
     lattice_isomorphic,
 )
 from .linalg import Subspace
-from .poset import bits, interval_poset, poset_isomorphic, transitive_closure, unions
+from .poset import bits, interval_poset, poset_isomorphic, transitive_closure
 
 __all__ = [
     "TorsionError",
@@ -50,13 +50,8 @@ __all__ = [
     "VerificationFailed",
     "UnknownIndecomposable",
     "ModuleContext",
-    "Subcat",
     "TorsionPair",
     "TorsionLattice",
-    "torsion_closure",
-    "free_closure",
-    "perp",
-    "left_perp",
     "enumerate_torsion_pairs",
     "is_omega_n",
     "is_hereditary",
@@ -70,7 +65,6 @@ __all__ = [
     "verify_two_cycle_example",
     "torsion_lattice_report",
     "torsion_lattice_to_dot",
-    "successor_closed_masks",
 ]
 
 
@@ -382,87 +376,19 @@ class ModuleContext:
         return F
 
 
-class Subcat:
-    """A subcategory given by its set of indecomposable members."""
-
-    __slots__ = ("context", "mask")
-
-    def __init__(self, context, mask):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "mask", int(mask))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subcat is immutable")
-
-    def members(self):
-        return [self.context.indecs[i] for i in bits(self.mask)]
-
-    def label(self):
-        return self.context.mask_label(self.mask)
-
-    def __contains__(self, module):
-        for i, _ in self.context.identify(module):
-            if not (self.mask >> i) & 1:
-                return False
-        return True
-
-    def __eq__(self, other):
-        if not isinstance(other, Subcat):
-            return NotImplemented
-        return self.context is other.context and self.mask == other.mask
-
-    def __hash__(self):
-        return hash((id(self.context), self.mask))
-
-    def __repr__(self):
-        return f"Subcat({self.label()})"
-
-
-def torsion_closure(S):
-    """Smallest torsion class containing the subcategory S."""
-    return Subcat(S.context, S.context.torsion_closure_mask(S.mask))
-
-
-def free_closure(S):
-    """Smallest torsion-free class containing the subcategory S."""
-    return Subcat(S.context, S.context.free_closure_mask(S.mask))
-
-
-def perp(S):
-    """Right hom-orthogonal: modules receiving no maps from S."""
-    return Subcat(S.context, S.context.perp_mask(S.mask))
-
-
-def left_perp(S):
-    return Subcat(S.context, S.context.left_perp_mask(S.mask))
-
-
 class TorsionPair:
+    """A certified torsion pair: its free class is the perp of ``tors_mask``,
+    and ``certify_torsion_class`` raises unless that is a torsion class."""
+
     __slots__ = ("context", "tors_mask", "free_mask")
 
-    def __init__(self, context, tors_mask, free_mask=None, check=True):
-        if check:
-            perp = context.certify_torsion_class(tors_mask)
-            if free_mask is None:
-                free_mask = perp
-            elif free_mask != perp:
-                raise VerificationFailed("free class is not the perp of the torsion class")
-        elif free_mask is None:
-            free_mask = context.perp_mask(tors_mask)
+    def __init__(self, context, tors_mask):
         object.__setattr__(self, "context", context)
+        object.__setattr__(self, "free_mask", context.certify_torsion_class(tors_mask))
         object.__setattr__(self, "tors_mask", int(tors_mask))
-        object.__setattr__(self, "free_mask", int(free_mask))
 
     def __setattr__(self, name, value):
         raise AttributeError("TorsionPair is immutable")
-
-    @property
-    def tors(self):
-        return Subcat(self.context, self.tors_mask)
-
-    @property
-    def free(self):
-        return Subcat(self.context, self.free_mask)
 
     def __eq__(self, other):
         if not isinstance(other, TorsionPair):
@@ -503,13 +429,9 @@ def _semibricks(hom, bricks):
             stack.append((S | 1 << b, grow & orth[b] & ~((2 << b) - 1)))
 
 
-def enumerate_torsion_pairs(
-    algebra_or_context,
-    dim_bound=2,
-    class_cap=2000,
-    time_budget=None,
-):
-    """The lattice of all torsion pairs, ordered by inclusion of torsion classes.
+def enumerate_torsion_pairs(ctx, class_cap=2000, time_budget=None):
+    """The lattice of all torsion pairs of a ``ModuleContext``, ordered by
+    inclusion of torsion classes.
 
     One torsion class per semibrick.  A brick is an M_i with End(M_i) = F_p
     (the End-dimension test), a semibrick a set of pairwise Hom-orthogonal
@@ -551,11 +473,6 @@ def enumerate_torsion_pairs(
     Raises BudgetExceeded if more than ``class_cap`` classes appear or the
     time budget (seconds) runs out.
     """
-    ctx = (
-        algebra_or_context
-        if isinstance(algebra_or_context, ModuleContext)
-        else ModuleContext.for_algebra(algebra_or_context, dim_bound)
-    )
     t0 = time.monotonic()
     bricks = ctx.bricks()
     found = {0: 0}  # T(semibrick) -> semibrick
@@ -669,11 +586,6 @@ def _reachability(n, edges):
     return transitive_closure(adj)
 
 
-def successor_closed_masks(n, edges):
-    """All vertex subsets closed under out-edges: the unions of reachability sets."""
-    return sorted(unions(_reachability(n, edges)), key=lambda m: (bin(m).count("1"), m))
-
-
 def omega_lattice_from_digraph(n, edges, labels=None):
     """Lattice of successor-closed vertex subsets ordered by inclusion."""
     if labels is None:
@@ -719,7 +631,7 @@ def verify_dyck_omega_iso(n, via="simples", dim_bound=2):
         "distributive": bool(M.is_distributive() and D.is_distributive()),
     }
     if via == "engine":
-        TL = enumerate_torsion_pairs(A, dim_bound=dim_bound)
+        TL = enumerate_torsion_pairs(ModuleContext.for_algebra(A, dim_bound))
         omega_idx = [i for i, pr in enumerate(TL.pairs) if is_omega_n(pr, 1)]
         sub = {i: k for k, i in enumerate(omega_idx)}
         # the omega pairs must be closed under the ambient meet and join

@@ -13,7 +13,9 @@ code with ``ModuleContext``; it uses only ``hom``,
 ``Module.all_submodules``/``sub``/``quotient`` and the context's
 ``identify_mask``.  ``extension_middles`` builds the middle term of every
 nonzero class in Ext^1(X, Y), for the audit that torsion classes are closed
-under extensions.
+under extensions.  ``ext_via_injectives`` computes Ext from an injective
+coresolution of the second argument rather than a projective resolution of
+the first.
 
 ``orbit_indecomposables`` lists the indecomposables the way the package did
 before it knitted the Auslander-Reiten quiver: per dimension vector up to a
@@ -56,6 +58,7 @@ from torscat.algebra import (
     Module,
     ModuleMap,
     ext1_space,
+    ext,
     extension_middle,
     hom,
     hom_dim,
@@ -195,6 +198,12 @@ def extension_middles(X, Y):
         for coeffs in itertools.product(range(p), repeat=len(reps))
         if any(coeffs)
     ]
+
+
+def ext_via_injectives(M, N, n):
+    """dim Ext^n(M, N) from an injective coresolution of N: by duality it is
+    dim Ext^n(DN, DM) over the opposite algebra."""
+    return ext(N.dual(), M.dual(), n)
 
 
 # -- indecomposables by orbit search ---------------------------------------------

@@ -126,7 +126,7 @@ def test_criterion_5_equivalence_suites(example_ctx, example_lattice, int2_ctx, 
 
 def test_criterion_6_hereditary_count():
     sw = Stopwatch(30.0)
-    TL = enumerate_torsion_pairs(incidence_algebra(interval_poset(2)))
+    TL = enumerate_torsion_pairs(ModuleContext.for_algebra(incidence_algebra(interval_poset(2))))
     assert TL.n == 14
     t = sw.done("criterion 6")
     print(f"\nACCEPTANCE 6 PASS interval incidence algebra has 14 torsion pairs ({t:.2f}s)")

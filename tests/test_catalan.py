@@ -1,34 +1,30 @@
 import pytest
 
 from torscat.catalan import (
-    DyckPath,
     binary_trees,
-    brick_forcing_poset,
     dyck_lattice,
     dyck_paths,
     dyck_to_ideal,
-    parens_to_tree,
-    rel_star_poset,
     tamari_lattice,
     tree_to_parens,
     typeA_torsion_classes,
     typeA_torsion_lattice,
 )
 from torscat.lattice import FinLattice, congruence_lattice, is_congruence_uniform, lattice_isomorphic
-from torscat.poset import Poset, ideal_lattice, interval_poset, order_ideals, poset_isomorphic
+from torscat.poset import Poset, ideal_lattice, interval_poset, unions
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
 
 def test_dyck_path_validation():
-    p = DyckPath("UUDUDD")
-    assert p.n == 3 and p.heights == (0, 1, 2, 1, 2, 1, 0)
+    # heights 0,1,2,1,2,1,0: the boxes [1,1] and [2,2] of interval_poset(2) lie under the path
+    assert dyck_to_ideal("UUDUDD") == 0b101
     with pytest.raises(ValueError):
-        DyckPath("UDD")
+        dyck_to_ideal("UDD")
     with pytest.raises(ValueError):
-        DyckPath("DU")
+        dyck_to_ideal("DU")
     with pytest.raises(ValueError):
-        DyckPath("UX")
+        dyck_to_ideal("UX")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -58,27 +54,30 @@ def test_dyck_meet_is_pointwise_min():
 def test_dyck_to_ideal_extremes():
     for n in (2, 3, 4):
         P = interval_poset(n - 1)
-        assert dyck_to_ideal("UD" * n, target=P).mask == 0
+        assert dyck_to_ideal("UD" * n, target=P) == 0
         full = dyck_to_ideal("U" * n + "D" * n, target=P)
-        assert bin(full.mask).count("1") == P.n == n * (n - 1) // 2
+        assert bin(full).count("1") == P.n == n * (n - 1) // 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_dyck_to_ideal_order_isomorphism(n):
-    P = interval_poset(n - 1) if n >= 2 else None
-    paths = [DyckPath(s) for s in dyck_paths(n)]
-    ideals = [dyck_to_ideal(q, target=P) for q in paths]
-    assert len({i.mask for i in ideals}) == len(paths)
-    assert {i.mask for i in ideals} == {i.mask for i in order_ideals(P)}
-    for i, a in enumerate(paths):
-        for j, b in enumerate(paths):
-            assert (a <= b) == (ideals[i].mask & ~ideals[j].mask == 0)
+    P = interval_poset(n - 1)
+    D = dyck_lattice(n)  # D.leq(i, j): path j dominates path i
+    ideals = [dyck_to_ideal(q, target=P) for q in D.labels]
+    assert len(set(ideals)) == D.n
+    assert set(ideals) == unions(P.down())
+    for i in range(D.n):
+        for j in range(D.n):
+            assert D.leq(i, j) == (ideals[i] & ~ideals[j] == 0)
 
 
 def test_tree_serialization_roundtrip():
     for n in range(5):
-        for t in binary_trees(n):
-            assert parens_to_tree(tree_to_parens(t)) == t
+        strings = [tree_to_parens(t) for t in binary_trees(n)]
+        assert len(set(strings)) == len(strings)
+        for s in strings:
+            assert len(s) == 2 * n
+            dyck_to_ideal(s.replace("(", "U").replace(")", "D"))  # raises unless balanced
     strings = {tree_to_parens(t) for t in binary_trees(4)}
     assert len(strings) == CATALAN[4]
 
@@ -122,20 +121,18 @@ def test_typeA_isomorphic_to_tamari(n):
 
 
 def test_brick_forcing_poset():
-    assert brick_forcing_poset(1).n == 1
-    assert poset_isomorphic(brick_forcing_poset(2), interval_poset(2).opposite()) is not None
-    # composing with the ideal lattice gives the dual Dyck lattice; the
+    # intervals of [n] under reverse containment; composing with the ideal lattice gives the dual Dyck lattice; the
     # straight Dyck lattice arises from the opposite orientation
     for n in (2, 3, 4):
         assert (
             lattice_isomorphic(
-                ideal_lattice(brick_forcing_poset(n).opposite()), dyck_lattice(n + 1)
+                ideal_lattice(interval_poset(n)), dyck_lattice(n + 1)
             )
             is not None
         )
         assert (
             lattice_isomorphic(
-                ideal_lattice(brick_forcing_poset(n)), dyck_lattice(n + 1).opposite()
+                ideal_lattice(interval_poset(n).opposite()), dyck_lattice(n + 1).opposite()
             )
             is not None
         )
@@ -144,9 +141,3 @@ def test_brick_forcing_poset():
 def test_congruence_lattice_of_tamari_is_dyck():
     for n in (2, 3, 4):
         assert lattice_isomorphic(congruence_lattice(tamari_lattice(n)), dyck_lattice(n)) is not None
-
-
-def test_rel_star_alias():
-    assert poset_isomorphic(rel_star_poset(3), interval_poset(2)) is not None
-    with pytest.raises(ValueError):
-        rel_star_poset(1)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from torscat import cli, torsion
+from torscat import algebra, cli, torsion
 from torscat.algebra import path_algebra_An
 from torscat.cli import main, parse_algebra_spec
 from torscat.lattice import FinLattice
@@ -425,6 +425,22 @@ def test_failed_certificate_is_a_verification_failure(capsys, monkeypatch):
     code, _, err = run(capsys, "tors", "int:2")
     assert code == 1
     assert err.startswith("verification FAILED: mesh certificate fails")
+
+
+def test_residue_field_certificate_is_a_verification_failure(tmp_path, capsys, monkeypatch):
+    # F_2[x]/(x^3): knitting reaches the almost split sequence starting at
+    # F_2[x]/(x^2), whose End has dimension 2, so its socle class needs
+    # rad End from _local_radical.  A None there is a failed certificate, exit 1
+    spec = tmp_path / "x3.json"
+    spec.write_text(json.dumps({
+        "vertices": ["1"], "arrows": [{"name": "x", "src": 0, "tgt": 0}], "relations": [[[1, ["x", "x", "x"]]]],
+    }))
+    code, out, _ = run(capsys, "--dim-bound", "3", "tors", str(spec))
+    assert code == 0 and "3 indecomposables, 2 torsion pairs" in out
+    monkeypatch.setattr(algebra, "_local_radical", lambda X, ends: None)
+    code, _, err = run(capsys, "--dim-bound", "3", "tors", str(spec))
+    assert code == 1
+    assert err == "verification FAILED: End of the module with dimension vector (2,) is not local over F_p\n"
 
 
 def test_singular_cartan_algebra_from_json(capsys):

@@ -20,6 +20,29 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_exports_resolve():
+    # every name in a module's __all__ exists, and the package re-exports
+    # only such names, so deleting a function cannot leave a stale export
+    pkg = Path(torscat.__file__).parent
+    exported, missing = {}, []
+    for path in sorted(pkg.glob("[!_]*.py")):
+        module = importlib.import_module(f"torscat.{path.stem}")
+        names = getattr(module, "__all__", None)
+        if names is not None:
+            exported[path.stem] = set(names)
+            missing += [f"{path.stem}.{name}" for name in names if not hasattr(module, name)]
+    tree = ast.parse((pkg / "__init__.py").read_text())
+    stale = [
+        f"{node.module}.{alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name not in exported.get(node.module, ())
+    ]
+    assert {"algebra", "torsion", "poset", "catalan"} <= exported.keys()
+    assert missing == [] and stale == []
+
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 

@@ -32,22 +32,16 @@ from torscat.poset import Poset, bits, interval_poset
 from torscat.torsion import (
     BudgetExceeded,
     ModuleContext,
-    Subcat,
     TorsionPair,
     VerificationFailed,
     enumerate_torsion_pairs,
-    free_closure,
     is_cohereditary,
     is_hereditary,
     is_omega_n,
     is_serre,
     is_split,
-    left_perp,
     omega_lattice_from_digraph,
     omega_lattice_via_simples,
-    perp,
-    successor_closed_masks,
-    torsion_closure,
     torsion_lattice_report,
     torsion_lattice_to_dot,
     verify_dyck_omega_iso,
@@ -69,23 +63,21 @@ def names_of(ctx, mask):
 
 
 def test_closure_trivial_cases(example_ctx):
-    empty = Subcat(example_ctx, 0)
-    assert torsion_closure(empty).mask == 0
-    everything = Subcat(example_ctx, example_ctx.all_mask)
-    assert torsion_closure(everything).mask == example_ctx.all_mask
+    assert example_ctx.torsion_closure_mask(0) == 0
+    assert example_ctx.torsion_closure_mask(example_ctx.all_mask) == example_ctx.all_mask
 
 
 def test_closure_of_injective(example_ctx):
     idx = name_index(example_ctx)
-    cl = torsion_closure(Subcat(example_ctx, 1 << idx["I1"]))
-    assert names_of(example_ctx, cl.mask) == {"I1", "S2", "P2"}
+    cl = example_ctx.torsion_closure_mask(1 << idx["I1"])
+    assert names_of(example_ctx, cl) == {"I1", "S2", "P2"}
 
 
 def test_free_closure(example_ctx):
     idx = name_index(example_ctx)
-    fc = free_closure(Subcat(example_ctx, 1 << idx["P1"]))
+    fc = example_ctx.free_closure_mask(1 << idx["P1"])
     # P1 has submodule S2, so the smallest sub+ext closed class adds it
-    assert "S2" in names_of(example_ctx, fc.mask)
+    assert "S2" in names_of(example_ctx, fc)
 
 
 CLOSURE_ALGEBRAS = {
@@ -128,11 +120,11 @@ def test_torsion_closure_is_left_perp_of_perp(name):
 
 def test_perp_examples(example_ctx):
     idx = name_index(example_ctx)
-    assert perp(Subcat(example_ctx, 0)).mask == example_ctx.all_mask
-    assert perp(Subcat(example_ctx, example_ctx.all_mask)).mask == 0
-    pp = perp(Subcat(example_ctx, (1 << idx["S1"]) | (1 << idx["P1"])))
-    assert names_of(example_ctx, pp.mask) == {"S2"}
-    assert names_of(example_ctx, left_perp(pp).mask) == {"S1", "P1"}
+    assert example_ctx.perp_mask(0) == example_ctx.all_mask
+    assert example_ctx.perp_mask(example_ctx.all_mask) == 0
+    pp = example_ctx.perp_mask((1 << idx["S1"]) | (1 << idx["P1"]))
+    assert names_of(example_ctx, pp) == {"S2"}
+    assert names_of(example_ctx, example_ctx.left_perp_mask(pp)) == {"S1", "P1"}
 
 
 def test_perp_duality(example_lattice):
@@ -153,7 +145,7 @@ def test_torsion_pair_invariants(example_ctx):
 
 
 def test_enumeration_boolean_for_semisimple():
-    TL = enumerate_torsion_pairs(incidence_algebra(Poset.antichain(3)))
+    TL = enumerate_torsion_pairs(ModuleContext.for_algebra(incidence_algebra(Poset.antichain(3))))
     assert TL.n == 8
     assert TL.is_distributive()
 
@@ -180,7 +172,7 @@ def test_enumeration_matches_all_subset_oracle(example_ctx, int2_ctx, example_la
 
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
-        enumerate_torsion_pairs(incidence_algebra(interval_poset(2)), class_cap=5)
+        enumerate_torsion_pairs(ModuleContext.for_algebra(incidence_algebra(interval_poset(2))), class_cap=5)
 
 
 ORACLE_CASES = {
@@ -531,7 +523,9 @@ def test_successor_closed_masks_match_brute_force():
         n = rng.randint(1, 6)
         edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9))]
         closed = [S for S in range(1 << n) if all(S >> v & 1 for u, v in edges if S >> u & 1)]
-        assert successor_closed_masks(n, edges) == sorted(closed, key=lambda m: (bin(m).count("1"), m))
+        closed.sort(key=lambda m: (bin(m).count("1"), m))
+        labels = ["{" + ",".join(str(v + 1) for v in bits(S)) + "}" for S in closed]
+        assert omega_lattice_from_digraph(n, edges).labels == tuple(labels)
 
 
 def test_omega_engine_vs_simples(example_ctx, example_lattice, int2_ctx, int2_lattice):
@@ -552,7 +546,7 @@ def assert_irreducibles_are_bricks(TL, bricks):
 def test_irreducible_torsion_classes_are_bricks(example_lattice, int2_lattice):
     assert_irreducibles_are_bricks(example_lattice, 4)
     assert_irreducibles_are_bricks(int2_lattice, 6)
-    assert_irreducibles_are_bricks(enumerate_torsion_pairs(path_algebra_An(4)), 10)
+    assert_irreducibles_are_bricks(enumerate_torsion_pairs(ModuleContext.for_algebra(path_algebra_An(4))), 10)
 
 
 # -- theorem-level verification -----------------------------------------------------------
