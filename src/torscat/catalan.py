@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattice import FinLattice, check_joins_are_unions, check_size
+from .lattice import FinLattice, check_size
 from .poset import Poset, interval_poset, transitive_closure
 
 __all__ = [
@@ -61,7 +61,8 @@ def dyck_lattice(n):
 
     Each path is encoded by its height profile in unary (bit i*(n+1)+h is
     set for 1 <= h <= heights[i]), so dominance is inclusion and the
-    pointwise min/max of two profiles is their AND/OR.
+    pointwise min/max of two profiles is their AND/OR; ``from_ring``
+    certifies that the profiles are closed under both.
     """
     paths = dyck_paths(n)
     masks = []
@@ -70,9 +71,7 @@ def dyck_lattice(n):
         for i, h in enumerate(_heights(s)):
             m |= ((1 << h) - 1) << (i * (n + 1) + 1)
         masks.append(m)
-    L = FinLattice.from_sets(masks, paths)
-    check_joins_are_unions(L, masks)  # joins are pointwise maxima
-    return L
+    return FinLattice.from_ring(masks, paths)
 
 
 def dyck_to_ideal(path, target=None):
@@ -83,21 +82,23 @@ def dyck_to_ideal(path, target=None):
     and the path exactly when the height at step i+j is at least j-i+2.
     This is a bijection onto the ideals, and an order isomorphism from the
     dominance order (checked exhaustively in the tests).  A word that is
-    not a Dyck path raises ValueError.
+    not a Dyck path, or a target that is not interval_poset(n-1), raises
+    ValueError.
     """
     h = _heights(path)
     if set(path) - {"U", "D"} or min(h) < 0 or h[-1] != 0:
         raise ValueError(f"not a Dyck path: {path!r}")
+    n = len(path) // 2
     if target is None:
-        n = len(path) // 2
         target = interval_poset(n - 1) if n >= 2 else Poset.antichain(0)
-    mask = 0
-    for k, lab in enumerate(target.labels):
-        i, j = lab.strip("[]").split(",")
-        i, j = int(i), int(j)
-        if h[i + j] >= j - i + 2:
-            mask |= 1 << k
-    return mask
+    try:
+        ivs = [tuple(map(int, lab.strip("[]").split(","))) for lab in target.labels]
+        fits = len(ivs) == n * (n - 1) // 2 and all(1 <= i <= j < n for i, j in ivs)
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValueError(f"target is not interval_poset({n - 1}), the poset of the path {path!r}")
+    return sum(1 << k for k, (i, j) in enumerate(ivs) if h[i + j] >= j - i + 2)
 
 
 # -- binary trees and the Tamari lattice -------------------------------------
@@ -179,31 +180,37 @@ def typeA_torsion_classes(n):
         for kk in range(i, j + 1):
             m |= 1 << idx[(i, kk)]
         quot_mask.append(m)
-    ext_rule = []
+    ext_with = [[] for _ in range(k)]  # t -> (other input, middle term) of each rule t enters
     for (i, j) in ivs:
         for l in range(j + 1, n + 1):
-            ext_rule.append((idx[(i, j)], idx[(j + 1, l)], idx[(i, l)]))
+            a, b, c = idx[(i, j)], idx[(j + 1, l)], idx[(i, l)]
+            ext_with[a].append((b, c))
+            ext_with[b].append((a, c))
 
-    def closure(mask):
-        while True:
-            new = mask
-            for t in range(k):
-                if (new >> t) & 1:
-                    new |= quot_mask[t]
-            for a, b, c in ext_rule:
-                if (new >> a) & 1 and (new >> b) & 1:
+    def closure(mask, todo):
+        """The closure of mask, whose consequences are all in it except
+        those of the members in todo: each member is processed once, when
+        new, against the rules it enters with a member already present."""
+        while todo:
+            t = todo & -todo
+            todo ^= t
+            t = t.bit_length() - 1
+            new = quot_mask[t]
+            for b, c in ext_with[t]:
+                if mask >> b & 1:
                     new |= 1 << c
-            if new == mask:
-                return mask
-            mask = new
+            new &= ~mask
+            mask |= new
+            todo |= new
+        return mask
 
-    gens = [closure(1 << t) for t in range(k)]
+    gens = [closure(1 << t, 1 << t) for t in range(k)]
     found = {0}
     frontier = [0]
     while frontier:
         cur = frontier.pop()
         for g in gens:
-            j = closure(cur | g)
+            j = closure(cur | g, g & ~cur)
             if j not in found:
                 found.add(j)
                 frontier.append(j)

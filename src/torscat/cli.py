@@ -296,12 +296,12 @@ def build_parser():
     )
     _add_common(ap, suppress=False)
     ap.set_defaults(dot=None)
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common, suppress=True)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def subparser(name, help):
-        p = sub.add_parser(name, help=help)
-        _add_common(p, suppress=True)
-        return p
+        return sub.add_parser(name, help=help, parents=[common])
 
     c = subparser("catalan", "Dyck, Tamari or symbolic type-A lattice")
     c.add_argument("kind", choices=["dyck", "tamari", "typeA"])

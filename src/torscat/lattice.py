@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 
 from .algebra import LimitExceeded
-from .poset import Poset, bits, poset_isos, transitive_closure, unions
+from .poset import Poset, bits, poset_isos, transitive_closure, transpose, unions
 
 __all__ = [
     "NotALattice",
     "VerificationFailed",
     "FinLattice",
     "check_size",
-    "check_joins_are_unions",
     "downset_lattice",
     "Congruence",
     "principal_congruence",
@@ -80,33 +79,72 @@ class FinLattice(Poset):
         LimitExceeded before the pairwise check on more than
         ``PAIRWISE_CAP`` members.
         """
-        masks = [int(m) for m in masks]
+        masks, index, column = _family(masks)
         n = len(masks)
-        check_size(n)
-        if n == 0:
-            raise NotALattice(None, None, "bottom (empty order)")
-        index = {m: i for i, m in enumerate(masks)}
-        if len(index) != n:
-            raise ValueError("the sets of a lattice must be distinct")
         for a, ma in enumerate(masks):
             if not index.keys() >= {ma & mb for mb in masks[a + 1 :]}:
                 b = next(b for b in range(a + 1, n) if ma & masks[b] not in index)
                 raise NotALattice(labels[a], labels[b], "meet")
-        # up[i] = members containing masks[i]: the AND of one column per point
-        column = {}
-        for i, m in enumerate(masks):
-            for t in bits(m):
-                column[t] = column.get(t, 0) | 1 << i
-        up = []
-        for m in masks:
-            u = (1 << n) - 1
-            for t in bits(m):
-                u &= column[t]
-            up.append(u)
+        up = _containing(masks, column)
         tops = [i for i, u in enumerate(up) if u == 1 << i]
         if len(tops) > 1:
             raise NotALattice(labels[tops[0]], labels[tops[1]], "join")
         return cls(labels, up)
+
+    @classmethod
+    def from_ring(cls, masks, labels, rows=None):
+        """The lattice of a ring of sets (bitmasks closed under union and
+        intersection) ordered by inclusion, certified in O(n k) lookups for
+        n members over k points.
+
+        Let B be the intersection of all members and r_t the intersection
+        of the members holding the point t.  The certificate checks that B
+        is a member, that every r_t is a member, and that m | r_t is a
+        member for every member m and every point t.  Every member m' is B
+        together with the r_t over t in m': t lies in r_t, and B and r_t
+        lie in m', a member holding t.  So the family is closed under
+        union: m | m' is reached from m, which contains B, by adding those
+        r_t one at a time, and each step stays in the family.  It is closed
+        under intersection: by the same argument m & m' is B together with
+        the r_t over t in m & m' (each r_t lies in both), a union of
+        members.  So meets are intersections and joins are unions, and the
+        lattice is distributive.
+
+        With ``rows`` (one bitmask per point) the family must moreover be
+        the down-sets of the preorder whose principal down-sets are the
+        rows: r_t is then the least down-set holding t, so the check is
+        B == 0 and r_t == rows[t] for every point t.  Each member, the
+        union of its r_t, is then a union of rows, and each union of rows
+        is a member, reached from B = 0 by adding rows.  A failed check raises
+        VerificationFailed; more than ``PAIRWISE_CAP`` members raise
+        LimitExceeded, as from_sets does.
+        """
+        masks, index, column = _family(masks)
+        least = {}  # point -> r_t
+        for t, col in enumerate(column):
+            if col:
+                r = -1
+                for i in bits(col):
+                    r &= masks[i]
+                least[t] = r
+        B = masks[0]
+        for m in masks:
+            B &= m
+        if B not in index:
+            raise VerificationFailed("the members have no least member", {"meet": B})
+        for t, r in least.items():
+            if r not in index:
+                raise VerificationFailed("the members holding a point meet outside the family", {"point": t})
+        if rows is not None:
+            wrong = [t for t, row in enumerate(rows) if least.get(t) != row]
+            if B or wrong or len(least) != len(rows):
+                raise VerificationFailed("the family is not the down-sets of the rows", {"points": wrong})
+        points = sum(1 << t for t in least)
+        for a, m in enumerate(masks):
+            if not index.keys() >= {m | least[t] for t in bits(points & ~m)}:
+                t = next(t for t in bits(points & ~m) if m | least[t] not in index)
+                raise VerificationFailed("join is not the union", {"a": labels[a], "point": t})
+        return cls(labels, _containing(masks, column))
 
     @classmethod
     def from_order(cls, up, labels=None):
@@ -153,7 +191,7 @@ class FinLattice(Poset):
 
     def opposite(self):
         """The order-dual lattice: meets and joins exchanged."""
-        return FinLattice(self.labels, self.down())
+        return self._dual(FinLattice(self.labels, self.down()))
 
     # -- structural predicates ----------------------------------------------
 
@@ -178,12 +216,8 @@ class FinLattice(Poset):
 
     def join_irreducibles(self):
         """Elements with exactly one lower cover, as (element, its cover)."""
-        cov = self.covers()
-        below = [[] for _ in range(self.n)]
-        for a in range(self.n):
-            for b in bits(cov[a]):
-                below[b].append(a)
-        return [(x, lows[0]) for x, lows in enumerate(below) if len(lows) == 1]
+        below = self._lower_covers()
+        return [(x, low.bit_length() - 1) for x, low in enumerate(below) if low and not low & (low - 1)]
 
     def meet_irreducibles(self):
         """Elements with exactly one upper cover, as (element, its cover)."""
@@ -209,6 +243,31 @@ class FinLattice(Poset):
         return cls.from_order(up, labels=labels)
 
 
+def _family(masks):
+    """The members as ints, checked non-empty, distinct and within
+    ``PAIRWISE_CAP``, with their index and the point columns: column[t]
+    holds the members that contain t."""
+    masks = [int(m) for m in masks]
+    check_size(len(masks))
+    if not masks:
+        raise NotALattice(None, None, "bottom (empty order)")
+    index = {m: i for i, m in enumerate(masks)}
+    if len(index) != len(masks):
+        raise ValueError("the sets of a lattice must be distinct")
+    return masks, index, transpose(masks, max(masks).bit_length())
+
+
+def _containing(masks, column):
+    """up[i], the members containing masks[i]: the AND of the columns of its points."""
+    full, up = (1 << len(masks)) - 1, []
+    for m in masks:
+        u = full
+        for t in bits(m):
+            u &= column[t]
+        up.append(u)
+    return up
+
+
 def _has_extreme(S, beyond):
     """Whether the set S (a bitmask) has a member x with S inside beyond[x].
 
@@ -219,28 +278,18 @@ def _has_extreme(S, beyond):
 
 
 def downset_lattice(rows, labels):
-    """The lattice of every union of ``rows``, bitmasks over points named by
-    ``labels``, ordered by inclusion.
+    """The lattice of the down-sets of a preorder, given by its principal
+    down-sets ``rows``, bitmasks over points named by ``labels``, ordered
+    by inclusion.
 
-    With the principal down-sets of a preorder these are its down-sets, a
-    distributive lattice whose joins are unions (Birkhoff), and that is
-    checked.  Elements are sorted by (size, mask) and labelled "{a,b}".
+    The members are the unions of the rows; ``from_ring`` certifies that
+    they are closed under union and intersection and are exactly the
+    down-sets of the rows, a distributive lattice whose joins are unions
+    (Birkhoff).  Elements are sorted by (size, mask) and labelled "{a,b}".
     """
     masks = sorted(unions(rows), key=lambda m: (bin(m).count("1"), m))
-    L = FinLattice.from_sets(masks, ["{" + ",".join(labels[i] for i in bits(m)) + "}" for m in masks])
-    check_joins_are_unions(L, masks)
-    return L
-
-
-def check_joins_are_unions(L, masks):
-    """Raise VerificationFailed unless every join in L, built by
-    from_sets(masks, ...), is the union of its operands: the family is
-    closed under union, so the least member above a union is the union."""
-    members = set(masks)
-    for a, ma in enumerate(masks):
-        if not members >= {ma | mb for mb in masks[a + 1 :]}:
-            b = next(b for b in range(a + 1, len(masks)) if ma | masks[b] not in members)
-            raise VerificationFailed("join is not the union", {"a": L.labels[a], "b": L.labels[b]})
+    labels = ["{" + ",".join(labels[i] for i in bits(m)) + "}" for m in masks]
+    return FinLattice.from_ring(masks, labels, rows)
 
 
 # -- congruences -------------------------------------------------------------
@@ -317,10 +366,7 @@ def _dependency(L):
     with j_t <= x.  |J| |M| joins and operations on |J|-bit masks.
     """
     ji = L.join_irreducibles()
-    sig = [0] * L.n
-    for t, (j, _) in enumerate(ji):
-        for x in bits(L.up[j]):
-            sig[x] |= 1 << t
+    sig = transpose([L.up[j] for j, _ in ji], L.n)
     mi = sum(1 << m for m, _ in L.meet_irreducibles())
     dep = [0] * len(ji)
     for s, (k, low) in enumerate(ji):

@@ -8,6 +8,8 @@ Everything is immutable after construction.
 from __future__ import annotations
 
 import json
+import struct
+from itertools import chain
 
 __all__ = [
     "Poset",
@@ -24,6 +26,63 @@ def bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+TILE = 128  # bits per side of the square tiles transpose works on
+
+
+def _swap_masks(T):
+    """The delta swaps that transpose a T x T bit tile stored row-major
+    (bit r*T + c is row r, column c), as (shift, mask bytes) pairs.
+
+    The swap for s exchanges bit s of the row and column indices, moving
+    (r, c) with r & s clear and c & s set to (r + s, c - s), which is
+    s*(T-1) bits higher; applying it for every s in T/2, ..., 1 maps (r, c)
+    to (c, r).
+    """
+    out = []
+    s = T // 2
+    while s:
+        row = sum(1 << c for c in range(T) if c & s).to_bytes(T // 8, "little")
+        out.append((s * (T - 1), b"".join(bytes(T // 8) if r & s else row for r in range(T))))
+        s //= 2
+    return out
+
+
+_SWAPS = _swap_masks(TILE)
+
+
+def transpose(rows, k):
+    """The transpose of a bit matrix: ``rows`` are n bitmasks below 2**k,
+    and row j of the result holds bit i iff bit j of rows[i] is set.
+
+    Each band of TILE rows is packed into one int as a row of TILE x TILE
+    tiles, every tile stored row-major, and all its tiles are transposed at
+    once by log2(TILE) delta swaps.  Row j of the result is then the j-th
+    TILE-bit piece of every band, joined, one column of tiles at a time.
+    The work is whole-int operations and byte slicing in C, not one step
+    per set bit, and no more than one band or one column of tiles is held
+    as pieces.
+    """
+    if not rows:
+        return [0] * k
+    w, nc = TILE // 8, -(-k // TILE)
+    swaps = [(shift, int.from_bytes(mask * nc, "little")) for shift, mask in _SWAPS]
+    split = struct.Struct(f"{w}s" * nc).unpack
+    tile = struct.Struct(f"{w}s" * TILE).unpack_from
+    bands = []
+    for r0 in range(0, len(rows), TILE):
+        cells = [split(r.to_bytes(nc * w, "little")) for r in rows[r0 : r0 + TILE]]
+        cells += [(bytes(w),) * nc] * (TILE - len(cells))
+        x = int.from_bytes(b"".join(chain.from_iterable(zip(*cells))), "little")
+        for shift, mask in swaps:
+            t = (x ^ x >> shift) & mask
+            x ^= t ^ t << shift
+        bands.append(x.to_bytes(nc * TILE * w, "little"))
+    out = []
+    for c0 in range(0, nc * TILE * w, TILE * w):
+        out += [int.from_bytes(b"".join(col), "little") for col in zip(*(tile(b, c0) for b in bands))]
+    return out[:k]
 
 
 def transitive_closure(masks):
@@ -80,7 +139,7 @@ def covers_from_up(up):
 
 
 class Poset:
-    __slots__ = ("n", "labels", "up", "_down", "_covers")
+    __slots__ = ("n", "labels", "up", "_down", "_covers", "_lower")
 
     def __init__(self, labels, up, _checked=False):
         labels = tuple(str(x) for x in labels)
@@ -92,6 +151,7 @@ class Poset:
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "_down", None)
         object.__setattr__(self, "_covers", None)
+        object.__setattr__(self, "_lower", None)
         if not _checked:
             self._validate()
 
@@ -136,12 +196,9 @@ class Poset:
         return bool((self.up[i] >> j) & 1)
 
     def down(self):
+        """down[i] has bit j set iff j <= i: the transpose of ``up``."""
         if self._down is None:
-            dn = [1 << i for i in range(self.n)]
-            for i in range(self.n):
-                for j in bits(self.up[i]):
-                    dn[j] |= 1 << i
-            object.__setattr__(self, "_down", tuple(dn))
+            object.__setattr__(self, "_down", tuple(transpose(self.up, self.n)))
         return self._down
 
     def covers(self):
@@ -149,11 +206,26 @@ class Poset:
             object.__setattr__(self, "_covers", tuple(covers_from_up(self.up)))
         return self._covers
 
+    def _lower_covers(self):
+        """lower[j] has bit i set iff j covers i: the transpose of covers()."""
+        if self._lower is None:
+            object.__setattr__(self, "_lower", tuple(transpose(self.covers(), self.n)))
+        return self._lower
+
     def cover_pairs(self):
         return [(i, j) for i in range(self.n) for j in bits(self.covers()[i])]
 
     def opposite(self):
-        return Poset(self.labels, self.down(), _checked=True)
+        return self._dual(Poset(self.labels, self.down(), _checked=True))
+
+    def _dual(self, op):
+        """Fill the caches of ``op``, the order dual of self, with no walk:
+        its down-sets are self.up, its covers are the lower covers here,
+        and its lower covers are the covers here."""
+        object.__setattr__(op, "_down", self.up)
+        object.__setattr__(op, "_covers", self._lower_covers())
+        object.__setattr__(op, "_lower", self.covers())
+        return op
 
     def __eq__(self, other):
         if not isinstance(other, Poset):
@@ -221,7 +293,7 @@ def _joint_colors(P, Q):
 
     def initial(X):
         cov_up = X.covers()
-        cov_dn = covers_from_up(X.down())
+        cov_dn = X._lower_covers()
         dn = X.down()
         return (
             [

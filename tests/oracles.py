@@ -42,6 +42,13 @@ of the cover pairs.  ``sweep_is_distributive`` and
 ``sweep_is_semidistributive`` test the laws on every triple of the dense
 meet and join tables.
 
+``check_joins_are_unions`` and ``check_meets_are_intersections`` check a
+family of sets pair by pair, the n^2/2 passes that the ring-of-sets
+certificate of ``FinLattice.from_ring`` replaces.
+``typeA_fixed_point_classes`` closes each set of type-A intervals by
+rescanning every rule until nothing changes, as ``typeA_torsion_classes``
+did before its worklist closure.
+
 Nothing here imports a private name of ``torscat``.
 """
 
@@ -63,7 +70,7 @@ from torscat.algebra import (
     hom,
     hom_dim,
 )
-from torscat.lattice import Congruence, FinLattice
+from torscat.lattice import Congruence, FinLattice, VerificationFailed
 from torscat.linalg import Matrix, Subspace, solve
 from torscat.poset import Poset, bits
 
@@ -759,3 +766,68 @@ def sweep_is_semidistributive(L):
         if not (~eq | (ma[J] == ma[:, None])).all():
             return False
     return True
+
+
+# -- rings of sets by pairwise passes ---------------------------------------------
+
+
+def check_joins_are_unions(L, masks):
+    """Raise VerificationFailed unless every join in L, built from masks, is
+    the union of its operands: the family is closed under union, so the
+    least member above a union is the union."""
+    members = set(masks)
+    for a, ma in enumerate(masks):
+        if not members >= {ma | mb for mb in masks[a + 1 :]}:
+            b = next(b for b in range(a + 1, len(masks)) if ma | masks[b] not in members)
+            raise VerificationFailed("join is not the union", {"a": L.labels[a], "b": L.labels[b]})
+
+
+def check_meets_are_intersections(L, masks):
+    """Raise VerificationFailed unless every meet in L, built from masks, is
+    the intersection of its operands: the family is closed under
+    intersection, so the greatest member below an intersection is the
+    intersection."""
+    members = set(masks)
+    for a, ma in enumerate(masks):
+        if not members >= {ma & mb for mb in masks[a + 1 :]}:
+            b = next(b for b in range(a + 1, len(masks)) if ma & masks[b] not in members)
+            raise VerificationFailed("meet is not the intersection", {"a": L.labels[a], "b": L.labels[b]})
+
+
+# -- symbolic type-A torsion classes by fixed-point closure -----------------------
+
+
+def typeA_fixed_point_classes(n):
+    """The symbolic type-A torsion classes as ``typeA_torsion_classes``
+    lists them, each closure a fixed-point iteration that rescans every
+    interval and every extension rule until nothing changes."""
+    ivs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    idx = {iv: k for k, iv in enumerate(ivs)}
+    k = len(ivs)
+    quot_mask = [sum(1 << idx[(i, kk)] for kk in range(i, j + 1)) for (i, j) in ivs]
+    ext_rule = [(idx[(i, j)], idx[(j + 1, l)], idx[(i, l)]) for (i, j) in ivs for l in range(j + 1, n + 1)]
+
+    def closure(mask):
+        while True:
+            new = mask
+            for t in range(k):
+                if (new >> t) & 1:
+                    new |= quot_mask[t]
+            for a, b, c in ext_rule:
+                if (new >> a) & 1 and (new >> b) & 1:
+                    new |= 1 << c
+            if new == mask:
+                return mask
+            mask = new
+
+    gens = [closure(1 << t) for t in range(k)]
+    found = {0}
+    frontier = [0]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            j = closure(cur | g)
+            if j not in found:
+                found.add(j)
+                frontier.append(j)
+    return sorted(found, key=lambda m: (bin(m).count("1"), m))

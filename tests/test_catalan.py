@@ -1,4 +1,5 @@
 import pytest
+from oracles import typeA_fixed_point_classes
 
 from torscat.catalan import (
     binary_trees,
@@ -25,6 +26,14 @@ def test_dyck_path_validation():
         dyck_to_ideal("DU")
     with pytest.raises(ValueError):
         dyck_to_ideal("UX")
+    # the boxes under a path with n up-steps are the elements of interval_poset(n - 1)
+    with pytest.raises(ValueError, match=r"target is not interval_poset\(0\)"):
+        dyck_to_ideal("UD", target=interval_poset(3))
+    with pytest.raises(ValueError, match=r"target is not interval_poset\(3\)"):
+        dyck_to_ideal("UUUUDDDD", target=interval_poset(2))
+    with pytest.raises(ValueError, match=r"target is not interval_poset\(2\)"):
+        dyck_to_ideal("UUDUDD", target=Poset.antichain(3))
+    assert dyck_to_ideal("UUDUDD", target=interval_poset(2)) == 0b101
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -108,6 +117,11 @@ def test_tamari_semidistributive_not_distributive():
 @pytest.mark.parametrize("n,count", [(1, 2), (2, 5), (3, 14), (4, 42)])
 def test_typeA_counts(n, count):
     assert len(typeA_torsion_classes(n)) == count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_typeA_worklist_closure_matches_the_fixed_point(n):
+    assert typeA_torsion_classes(n) == typeA_fixed_point_classes(n)
 
 
 def test_typeA_bounds():

@@ -162,6 +162,39 @@ def test_cap_messages_are_pinned(capsys):
     assert code == 3 and out == "" and err.endswith(" classes (time budget)\n")
 
 
+X3 = {"vertices": ["1"], "arrows": [{"name": "x", "src": 0, "tgt": 0}], "relations": [[[1, ["x", "x", "x"]]]]}
+
+
+def test_submodule_cap_exit_code(tmp_path, capsys, monkeypatch):
+    # F_2[x]/(x^3): the one cover of its torsion lattice, 0 < mod A, is
+    # labelled by all three indecomposables, more than its brick, the simple,
+    # so the filtration test reads the submodule lists of F_2[x]/(x^2) and
+    # F_2[x]/(x^3), with 3 and 4 members.  No
+    # algebra knitted in test time has a module near the default cap of
+    # 200,000 submodules, so the cap is lowered to 3
+    spec = tmp_path / "x3.json"
+    spec.write_text(json.dumps(X3))
+    monkeypatch.setattr(algebra.Module.all_submodules, "__defaults__", (3,))
+    code, out, err = run(capsys, "--dim-bound", "3", "tors", str(spec))
+    assert (code, out, err) == (3, "", "limit exceeded: submodule lattice exceeds the cap of 3 submodules\n")
+
+
+def test_endomorphism_search_bound_exit_code(tmp_path, capsys, monkeypatch):
+    # S1 + S1 over the example: End is M_2(F_2), not local.  When no basis
+    # element or pairwise sum gives a Fitting split, the last-resort search
+    # over End(M) stops past _SPLIT_SEARCH_DIM.  No module is known that the
+    # basis search fails on (ROADMAP item 8), so the splits are withheld and
+    # the bound is lowered to 3
+    A = algebra.two_cycle_algebra()
+    f = tmp_path / "module.json"
+    f.write_text(json.dumps(A.simple(0).direct_sum(A.simple(0)).to_json()))
+    monkeypatch.setattr(algebra, "_try_split", lambda M, mats: None)
+    monkeypatch.setattr(algebra, "_SPLIT_SEARCH_DIM", 3)
+    code, out, err = run(capsys, "module", "example", str(f))
+    assert (code, out) == (3, "")
+    assert err == "limit exceeded: endomorphism ring has 2^4 elements, beyond the search bound 2^3\n"
+
+
 def test_lattice_size_cap_exit_code(capsys):
     # int:9 has 16,796 order ideals, past the cap on the pairwise intersection check
     code, out, err = run(capsys, "omega", "int:9")

@@ -6,6 +6,8 @@ import oracles
 import pytest
 from oracles import (
     brute_force_congruences,
+    check_joins_are_unions,
+    check_meets_are_intersections,
     congruence_join,
     cover_pair_all_congruences,
     cover_pair_congruence_lattice,
@@ -17,7 +19,7 @@ from oracles import (
 )
 
 from torscat import torsion
-from torscat.algebra import LimitExceeded
+from torscat.algebra import LimitExceeded, incidence_algebra
 from torscat.catalan import dyck_lattice, tamari_lattice, typeA_torsion_lattice
 from torscat.cli import main
 from torscat.lattice import (
@@ -26,14 +28,13 @@ from torscat.lattice import (
     NotALattice,
     VerificationFailed,
     all_congruences,
-    check_joins_are_unions,
     congruence_lattice,
     forcing_poset,
     is_congruence_uniform,
     lattice_isomorphic,
     principal_congruence,
 )
-from torscat.poset import Poset, ideal_lattice, interval_poset, poset_isomorphic
+from torscat.poset import Poset, bits, ideal_lattice, interval_poset, poset_isomorphic, unions
 
 
 def pentagon():
@@ -180,6 +181,99 @@ def test_check_joins_are_unions():
     with pytest.raises(VerificationFailed, match="join is not the union") as err:
         check_joins_are_unions(FinLattice.from_sets(masks, "0abt"), masks)
     assert err.value.data == {"a": "a", "b": "b"}
+
+
+def test_check_meets_are_intersections():
+    masks = [0b00, 0b01, 0b10, 0b11]
+    check_meets_are_intersections(FinLattice.from_sets(masks, "0abt"), masks)
+    # {1,2} and {2,3} meet in {2}, which is not a member
+    masks = [0b000, 0b011, 0b110, 0b111]
+    square = FinLattice.from_order(Poset.from_leq_pairs("0abt", [(0, 1), (0, 2), (1, 3), (2, 3)]))
+    with pytest.raises(VerificationFailed, match="meet is not the intersection") as err:
+        check_meets_are_intersections(square, masks)
+    assert err.value.data == {"a": "a", "b": "b"}
+
+
+def downsets(P):
+    return sorted(unions(P.down()), key=lambda m: (bin(m).count("1"), m))
+
+
+def ring(masks, rows=None):
+    return FinLattice.from_ring(masks, [str(m) for m in masks], rows)
+
+
+def test_ring_certificate_accepts_rings_as_from_sets_does():
+    for masks in ([0], [0b0, 0b1], [0b00, 0b01, 0b10, 0b11], [0b011, 0b111], [0b10, 0b11, 0b110, 0b111]):
+        assert ring(masks).up == FinLattice.from_sets(masks, [str(m) for m in masks]).up
+    # the four subsets of {0, 1} are a ring, but not the down-sets of the chain 0 < 1
+    assert ring([0b00, 0b01, 0b10, 0b11]).n == 4
+    with pytest.raises(VerificationFailed, match="not the down-sets of the rows"):
+        ring([0b00, 0b01, 0b10, 0b11], rows=Poset.chain(2).down())
+
+
+@pytest.mark.parametrize(
+    "masks, message",
+    [
+        ([0b000, 0b001, 0b011, 0b111, 0b100], "join is not the union"),  # {0} | {2} is missing
+        ([0b00, 0b01, 0b10], "join is not the union"),
+        ([0b01, 0b10, 0b11], "no least member"),
+        ([0b000, 0b011, 0b110, 0b111], "meet outside the family"),  # the members holding 1 meet in {1}
+    ],
+)
+def test_ring_certificate_refuses_non_rings(masks, message):
+    with pytest.raises(VerificationFailed, match=message):
+        ring(masks)
+
+
+def test_ring_certificate_refuses_a_missing_or_an_extra_set():
+    P = interval_poset(3)
+    rows, family = P.down(), downsets(P)
+    assert ring(family, rows).up == FinLattice.from_sets(family, [str(m) for m in family]).up
+    for missing in family:
+        with pytest.raises(VerificationFailed):
+            ring([m for m in family if m != missing], rows)
+    for extra in set(range(1 << P.n)) - set(family):
+        with pytest.raises(VerificationFailed):
+            ring(family + [extra], rows)
+
+
+def dyck_profile(path, n):
+    """The unary height profile dyck_lattice orders Dyck paths by."""
+    m, h = 0, 0
+    for i, step in enumerate(path, 1):
+        h += 1 if step == "U" else -1
+        m |= ((1 << h) - 1) << (i * (n + 1) + 1)
+    return m
+
+
+def ring_lattice(kind, m):
+    """A lattice that tier-1 builds through from_ring, with its members."""
+    if kind == "dyck":
+        L = dyck_lattice(m)
+        return L, [dyck_profile(path, m) for path in L.labels]
+    if kind == "ideals":
+        P = corpus()[m]
+        return ideal_lattice(P), downsets(P)
+    A = incidence_algebra(interval_poset(m))
+    reach = Poset.from_leq_pairs(A.vlabels, [(u, v) for u, v, _ in A.ext_quiver()])
+    masks = sorted(unions(reach.up), key=lambda x: (bin(x).count("1"), x))
+    L = torsion.omega_lattice_via_simples(A)
+    assert L.labels == tuple("{" + ",".join(A.vlabels[i] for i in bits(x)) + "}" for x in masks)
+    return L, masks
+
+
+RINGS = [("dyck", n) for n in range(1, 8)] + [("ideals", k) for k in range(10)] + [("omega", m) for m in range(2, 7)]
+
+
+@pytest.mark.parametrize("kind, m", RINGS)
+def test_ring_lattices_pass_the_pairwise_oracles(kind, m):
+    L, masks = ring_lattice(kind, m)
+    check_meets_are_intersections(L, masks)
+    check_joins_are_unions(L, masks)
+    assert FinLattice.from_sets(masks, L.labels).up == L.up
+    for a in range(L.n):
+        assert [masks[L.meet(a, b)] for b in range(L.n)] == [masks[a] & x for x in masks]
+        assert [masks[L.join(a, b)] for b in range(L.n)] == [masks[a] | x for x in masks]
 
 
 def assert_predicates_match_sweeps(L):

@@ -1,14 +1,19 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torscat.catalan import dyck_lattice, tamari_lattice
 from torscat.poset import (
     Poset,
+    bits,
+    covers_from_up,
     ideal_lattice,
     interval_poset,
     poset_isomorphic,
     poset_isos,
+    transpose,
     unions,
 )
 
@@ -142,3 +147,39 @@ def test_random_poset_ideal_duality(n, data):
     from torscat.poset import transitive_closure
 
     assert tuple(transitive_closure(list(P.covers()))) == P.up
+
+
+def transpose_by_walk(rows, k):
+    out = [0] * k
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            out[j] |= 1 << i
+    return out
+
+
+EDGES = [0, 1, 127, 128, 129, 257]  # around the 128-bit tile
+
+
+@pytest.mark.parametrize("n", EDGES)
+def test_transpose_matches_the_bit_walk(n):
+    rng = random.Random(n)
+    for k in EDGES:
+        for density in (1, 2, 5):  # one bit in 2, 4 or 32 set
+            rows = [(1 << k) - 1] * n
+            for _ in range(density):
+                rows = [r & rng.getrandbits(k) if k else 0 for r in rows]
+            assert transpose(rows, k) == transpose_by_walk(rows, k), (n, k, density)
+        full = [(1 << k) - 1] * n
+        assert transpose(full, k) == [(1 << n) - 1] * k
+
+
+def test_opposite_fills_down_and_covers_from_the_transpose():
+    posets = [interval_poset(4), Poset.chain(5), Poset.antichain(3), Poset.chain(0)]
+    posets += [dyck_lattice(5), tamari_lattice(5), ideal_lattice(interval_poset(3))]
+    for P in posets:
+        Q = P.opposite()
+        assert type(Q) is type(P)
+        assert Q.up == P.down() and Q.down() == P.up
+        assert Q.covers() == tuple(covers_from_up(P.down()))
+        assert Q.down() == tuple(transpose_by_walk(Q.up, Q.n))
+        assert Q.opposite() == P and Q.opposite().covers() == P.covers()
