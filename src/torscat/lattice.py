@@ -176,22 +176,34 @@ class FinLattice(Poset):
                 return i
         raise AssertionError("lattice without top")
 
-    def join(self, a, b):
-        """The least upper bound: the element whose up-set is up[a] & up[b]."""
+    def _with_up(self):
+        """The element of each up-set, as a dict."""
         if self._up_index is None:
             object.__setattr__(self, "_up_index", {u: i for i, u in enumerate(self.up)})
-        return self._up_index[self.up[a] & self.up[b]]
+        return self._up_index
+
+    def _with_down(self):
+        """The element of each down-set, as a dict."""
+        if self._down_index is None:
+            object.__setattr__(self, "_down_index", {d: i for i, d in enumerate(self.down())})
+        return self._down_index
+
+    def join(self, a, b):
+        """The least upper bound: the element whose up-set is up[a] & up[b]."""
+        return self._with_up()[self.up[a] & self.up[b]]
 
     def meet(self, a, b):
         """The greatest lower bound: the element whose down-set is down[a] & down[b]."""
-        if self._down_index is None:
-            object.__setattr__(self, "_down_index", {d: i for i, d in enumerate(self.down())})
         dn = self.down()
-        return self._down_index[dn[a] & dn[b]]
+        return self._with_down()[dn[a] & dn[b]]
 
     def opposite(self):
-        """The order-dual lattice: meets and joins exchanged."""
-        return self._dual(FinLattice(self.labels, self.down()))
+        """The order-dual lattice: meets and joins exchanged, and the
+        element indices of up- and down-sets with them."""
+        op = self._dual(FinLattice(self.labels, self.down()))
+        object.__setattr__(op, "_up_index", self._down_index)
+        object.__setattr__(op, "_down_index", self._up_index)
+        return op
 
     # -- structural predicates ----------------------------------------------
 
@@ -215,14 +227,21 @@ class FinLattice(Poset):
         ) and all(_has_extreme(dn[upp] & ~dn[m], up) for m, upp in self.meet_irreducibles())
 
     def join_irreducibles(self):
-        """Elements with exactly one lower cover, as (element, its cover)."""
-        below = self._lower_covers()
-        return [(x, low.bit_length() - 1) for x, low in enumerate(below) if low and not low & (low - 1)]
+        """Elements with exactly one lower cover, as (element, its cover).
+
+        x has exactly one lower cover iff the elements strictly below x
+        have a greatest one, and then that is the cover: every element
+        below x lies below some lower cover.  So it is the element whose
+        down-set is down[x] without x.
+        """
+        index = self._with_down()
+        return [(x, index[d ^ 1 << x]) for x, d in enumerate(self.down()) if d ^ 1 << x in index]
 
     def meet_irreducibles(self):
-        """Elements with exactly one upper cover, as (element, its cover)."""
-        cov = self.covers()
-        return [(x, next(bits(cov[x]))) for x in range(self.n) if bin(cov[x]).count("1") == 1]
+        """Elements with exactly one upper cover, as (element, its cover):
+        the element whose up-set is up[x] without x, dually."""
+        index = self._with_up()
+        return [(x, index[u ^ 1 << x]) for x, u in enumerate(self.up) if u ^ 1 << x in index]
 
     # -- serialization -----------------------------------------------------
 

@@ -139,7 +139,7 @@ def covers_from_up(up):
 
 
 class Poset:
-    __slots__ = ("n", "labels", "up", "_down", "_covers", "_lower")
+    __slots__ = ("n", "labels", "up", "_down", "_covers")
 
     def __init__(self, labels, up, _checked=False):
         labels = tuple(str(x) for x in labels)
@@ -151,7 +151,6 @@ class Poset:
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "_down", None)
         object.__setattr__(self, "_covers", None)
-        object.__setattr__(self, "_lower", None)
         if not _checked:
             self._validate()
 
@@ -206,12 +205,6 @@ class Poset:
             object.__setattr__(self, "_covers", tuple(covers_from_up(self.up)))
         return self._covers
 
-    def _lower_covers(self):
-        """lower[j] has bit i set iff j covers i: the transpose of covers()."""
-        if self._lower is None:
-            object.__setattr__(self, "_lower", tuple(transpose(self.covers(), self.n)))
-        return self._lower
-
     def cover_pairs(self):
         return [(i, j) for i in range(self.n) for j in bits(self.covers()[i])]
 
@@ -220,11 +213,12 @@ class Poset:
 
     def _dual(self, op):
         """Fill the caches of ``op``, the order dual of self, with no walk:
-        its down-sets are self.up, its covers are the lower covers here,
-        and its lower covers are the covers here."""
+        its down-sets are self.up, and once the covers here are known, i
+        covers j in op iff j covers i here, so its covers are their
+        transpose."""
         object.__setattr__(op, "_down", self.up)
-        object.__setattr__(op, "_covers", self._lower_covers())
-        object.__setattr__(op, "_lower", self.covers())
+        if self._covers is not None:
+            object.__setattr__(op, "_covers", tuple(transpose(self._covers, self.n)))
         return op
 
     def __eq__(self, other):
@@ -293,7 +287,7 @@ def _joint_colors(P, Q):
 
     def initial(X):
         cov_up = X.covers()
-        cov_dn = X._lower_covers()
+        cov_dn = X.opposite().covers()
         dn = X.down()
         return (
             [

@@ -150,6 +150,11 @@ def test_from_sets_exhaustive_small_ground(ground, families):
         meet, join = brute_tables(n, leq)
         assert [t.tolist() for t in tables(L)] == [meet, join]
         assert all(masks[meet[a][b]] == masks[a] & masks[b] for a in range(n) for b in range(n))
+        # the irreducibles are the elements with exactly one lower (upper) cover
+        single = lambda m: m and not m & (m - 1)
+        lower = [sum(1 << a for a in range(n) if L.covers()[a] >> b & 1) for b in range(n)]
+        assert L.join_irreducibles() == [(b, low.bit_length() - 1) for b, low in enumerate(lower) if single(low)]
+        assert L.meet_irreducibles() == [(a, c.bit_length() - 1) for a, c in enumerate(L.covers()) if single(c)]
     assert count == families
 
 

@@ -173,13 +173,17 @@ def test_transpose_matches_the_bit_walk(n):
         assert transpose(full, k) == [(1 << n) - 1] * k
 
 
-def test_opposite_fills_down_and_covers_from_the_transpose():
+@pytest.mark.parametrize("covers_first", [False, True])
+def test_opposite_fills_down_and_covers_from_the_transpose(covers_first):
     posets = [interval_poset(4), Poset.chain(5), Poset.antichain(3), Poset.chain(0)]
     posets += [dyck_lattice(5), tamari_lattice(5), ideal_lattice(interval_poset(3))]
     for P in posets:
+        if covers_first:
+            P.covers()  # then the dual's covers are their transpose, filled at once
         Q = P.opposite()
         assert type(Q) is type(P)
+        assert (Q._covers is not None) == covers_first
         assert Q.up == P.down() and Q.down() == P.up
-        assert Q.covers() == tuple(covers_from_up(P.down()))
         assert Q.down() == tuple(transpose_by_walk(Q.up, Q.n))
+        assert Q.covers() == tuple(covers_from_up(P.down()))
         assert Q.opposite() == P and Q.opposite().covers() == P.covers()
