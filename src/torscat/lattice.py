@@ -63,7 +63,7 @@ class FinLattice(Poset):
     __slots__ = ("_up_index", "_down_index")
 
     def __init__(self, labels, up):
-        # up is inclusion on a family of sets (from_sets) or its dual, a partial order already
+        # up is inclusion on a family of sets (from_sets, from_ring) or its dual, a partial order already
         super().__init__(labels, up, _checked=True)
         object.__setattr__(self, "_up_index", None)
         object.__setattr__(self, "_down_index", None)
