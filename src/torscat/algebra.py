@@ -457,6 +457,9 @@ class Algebra:
     def from_json(cls, data, p=None):
         if isinstance(data, str):
             data = json.loads(data)
+        for a in data["arrows"]:
+            if type(a["src"]) is not int or type(a["tgt"]) is not int:
+                raise AlgebraError(f"arrow {a['name']}: src and tgt must be vertex indices, got {a['src']!r}, {a['tgt']!r}")
         return cls.from_quiver(
             data["vertices"],
             [(a["name"], a["src"], a["tgt"]) for a in data["arrows"]],
@@ -769,14 +772,17 @@ class Module:
     def from_json(cls, algebra, data):
         if isinstance(data, str):
             data = json.loads(data)
-        dims = data["dims"]
+        dims, arrows = data["dims"], data["arrows"]
+        if not (isinstance(dims, list) and len(dims) == algebra.n_vertices and all(type(d) is int and d >= 0 for d in dims)):
+            raise AlgebraError(f"dims must list {algebra.n_vertices} non-negative integers, got {dims!r}")
+        if not isinstance(arrows, dict) or arrows.keys() - {a.name for a in algebra.arrows}:
+            raise AlgebraError(f"arrows must map arrow names of the algebra to matrices, got {arrows!r}")
         mats = []
         for a in algebra.arrows:
-            raw = data["arrows"].get(a.name)
-            if raw is None:
-                mats.append(Matrix.zeros(dims[a.tgt], dims[a.src], algebra.p))
-            else:
-                mats.append(Matrix(raw, algebra.p, dims[a.src]))
+            raw = arrows.get(a.name, [[0] * dims[a.src]] * dims[a.tgt])
+            if not (isinstance(raw, list) and all(isinstance(row, list) and all(type(x) is int for x in row) for row in raw)):
+                raise AlgebraError(f"arrows: the matrix of {a.name} must be rows of integers, got {raw!r}")
+            mats.append(Matrix(raw, algebra.p, dims[a.src]))
         return cls(algebra, dims, mats)
 
 

@@ -254,7 +254,7 @@ def cmd_tors(args):
         "cohereditary": sum(1 for c in rep["classes"] if c["cohereditary"]),
         "split": sum(1 for c in rep["classes"] if c["split"]),
     }
-    payload = {**counts, "report": rep, "dot": torsion_lattice_to_dot(TL) if args.dot else None}
+    payload = {**counts, "report": rep, "dot": torsion_lattice_to_dot(rep, TL.cover_pairs()) if args.dot else None}
     lines = [
         f"algebra {args.algebra}: {ctx.k} indecomposables, {TL.n} torsion pairs",
         f"  omega: {counts['omega']}   omega_2: {counts['omega2']}",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .algebra import LimitExceeded
-from .poset import Poset, bits, poset_isos, transitive_closure, transpose, unions
+from .poset import Poset, _containing, bits, pair_rows, poset_isos, transitive_closure, transpose, unions
 
 __all__ = [
     "NotALattice",
@@ -148,33 +148,39 @@ class FinLattice(Poset):
 
     @classmethod
     def from_order(cls, up, labels=None):
-        """Build a lattice from an order relation; raises NotALattice.
+        """Build a lattice from a partial order; raises NotALattice, and
+        ValueError for a relation that is not a partial order.
 
         ``up`` may be a Poset or a sequence of up-set bitmasks.  In a
         lattice the principal down-sets meet in the down-set of the meet,
-        so the lattice is the family of principal down-sets.
+        so the lattice is the family of principal down-sets.  Their
+        inclusion order is ``up`` iff ``up`` is a partial order (see
+        ``Poset._validate``), so ``up`` is checked on its own only on failure.
         """
-        if isinstance(up, Poset):
-            if labels is None:
-                labels = up.labels
-            up = up.up
         if labels is None:
-            labels = [str(i) for i in range(len(up))]
-        return cls.from_sets(Poset(labels, up).down(), labels)
+            labels = up.labels if isinstance(up, Poset) else [str(i) for i in range(len(up))]
+        if isinstance(up, Poset):
+            up = up.up
+        try:
+            down = transpose(up, len(up))
+            L = cls.from_sets(down, labels)
+            if L.up != tuple(up):
+                raise ValueError("the principal down-sets are ordered otherwise")
+        except (NotALattice, ValueError, OverflowError):  # OverflowError: a row out of range
+            Poset(labels, up)  # a relation that is no partial order raises here, naming the element at fault
+            raise
+        object.__setattr__(L, "_down", tuple(down))
+        return L
 
     # -- lattice operations ------------------------------------------------
 
     def bottom(self):
-        for i in range(self.n):
-            if self.up[i] == (1 << self.n) - 1:
-                return i
-        raise AssertionError("lattice without bottom")
+        """The element whose up-set is everything."""
+        return self._with_up()[(1 << self.n) - 1]
 
     def top(self):
-        for i in range(self.n):
-            if self.up[i] == 1 << i:
-                return i
-        raise AssertionError("lattice without top")
+        """The element whose down-set is everything."""
+        return self._with_down()[(1 << self.n) - 1]
 
     def _with_up(self):
         """The element of each up-set, as a dict."""
@@ -255,11 +261,9 @@ class FinLattice(Poset):
     def from_json(cls, data, labels=None):
         if isinstance(data, str):
             data = json.loads(data)
-        n = data["size"]
-        up = [1 << i for i in range(n)]
-        for i, j in data["leq"]:
-            up[i] |= 1 << j
-        return cls.from_order(up, labels=labels)
+        if not (isinstance(data, dict) and type(data.get("size")) is int and isinstance(data.get("leq"), list)):
+            raise ValueError('a lattice is an object with an integer "size" and a "leq" list')
+        return cls.from_order(pair_rows(data["size"], data["leq"]), labels=labels)
 
 
 def _family(masks):
@@ -274,17 +278,6 @@ def _family(masks):
     if len(index) != len(masks):
         raise ValueError("the sets of a lattice must be distinct")
     return masks, index, transpose(masks, max(masks).bit_length())
-
-
-def _containing(masks, column):
-    """up[i], the members containing masks[i]: the AND of the columns of its points."""
-    full, up = (1 << len(masks)) - 1, []
-    for m in masks:
-        u = full
-        for t in bits(m):
-            u &= column[t]
-        up.append(u)
-    return up
 
 
 def _has_extreme(S, beyond):
@@ -372,6 +365,14 @@ def _congruence_sort_key(c):
     return (-c.num_blocks(), c.block)
 
 
+def _signatures(L):
+    """The join-irreducibles j_t of L (``L.join_irreducibles()``) and each
+    element's signature sig[x] = {t : j_t <= x}; an element is the join of
+    the j_t below it, so signatures are distinct."""
+    ji = L.join_irreducibles()
+    return ji, transpose([L.up[j] for j, _ in ji], L.n)
+
+
 def _dependency(L):
     """The D* order on the join-irreducibles of L, as bitmask rows.
 
@@ -384,8 +385,7 @@ def _dependency(L):
     (below, sig): below[s] holds the t with j_t D* j_s, and sig[x] the t
     with j_t <= x.  |J| |M| joins and operations on |J|-bit masks.
     """
-    ji = L.join_irreducibles()
-    sig = transpose([L.up[j] for j, _ in ji], L.n)
+    ji, sig = _signatures(L)
     mi = sum(1 << m for m, _ in L.meet_irreducibles())
     dep = [0] * len(ji)
     for s, (k, low) in enumerate(ji):
@@ -474,48 +474,31 @@ def is_congruence_uniform(L):
 def lattice_isomorphic(L, M):
     """A lattice isomorphism L -> M as a list, or None.
 
-    Searches order isomorphisms between the join-irreducible subposets and
-    lifts via joins (any lattice iso is determined by its JI restriction),
-    then verifies that the lift is a bijection mapping the covers of L
-    exactly onto the covers of M, hence an order isomorphism.
+    For each order isomorphism phi between the join-irreducible subposets
+    (the transposes of the signatures), x goes to the element of M whose
+    signature is phi(sig x), one dict lookup per element.  The first such
+    lift defined at every x that maps the covers of L exactly onto those of
+    M is a bijection and an order isomorphism, and is returned.  It is the
+    list that lifting by joins, x to the join of the j'_phi(t) over t in
+    sig x, returns: an accepted lift of either kind is a lattice isomorphism
+    g with g(j_t) = j'_phi(t), the join-irreducible whose down-set in J(M)
+    is phi(down-set of t), so g(x) is that join and sig g(x) = phi(sig x).
+    For each phi both lifts thus accept or reject together, and agree.
     """
     if L.n != M.n:
         return None
-    if L.n == 1:
-        return [0]
-    jiL = [x for x, _ in L.join_irreducibles()]
-    jiM = [x for x, _ in M.join_irreducibles()]
-    if len(jiL) != len(jiM):
+    (jiL, sigL), (jiM, sigM) = _signatures(L), _signatures(M)
+    k = len(jiL)
+    if len(jiM) != k:
         return None
-
-    def restrict(lat, elems):
-        pos = {e: k for k, e in enumerate(elems)}
-        up = []
-        for e in elems:
-            m = 0
-            for f in elems:
-                if lat.leq(e, f):
-                    m |= 1 << pos[f]
-            up.append(m)
-        return Poset([lat.labels[e] for e in elems], up, _checked=True)
-
-    PL, PM = restrict(L, jiL), restrict(M, jiM)
-    dnL, covL, covM = L.down(), L.covers(), M.covers()
-    bottom = M.bottom()
+    PL, PM = (Poset(range(k), transpose([sig[j] for j, _ in ji], k), _checked=True)
+              for ji, sig in ((jiL, sigL), (jiM, sigM)))
+    with_sig = {s: y for y, s in enumerate(sigM)}
+    rows, covL, covM = [L.up[j] for j, _ in jiL], L.covers(), M.covers()
     for phi in poset_isos(PL, PM):
-        img = [0] * L.n
-        ok = True
-        seen = set()
-        for x in range(L.n):
-            y = bottom
-            for k, j in enumerate(jiL):
-                if (dnL[x] >> j) & 1:
-                    y = M.join(y, jiM[phi[k]])
-            if y in seen:
-                ok = False
-                break
-            seen.add(y)
-            img[x] = y
-        if ok and all(sum(1 << img[y] for y in bits(covL[x])) == covM[img[x]] for x in range(L.n)):
+        # row phi(t) of moved is up[j_t], so its column x is phi(sig x)
+        moved = [rows[t] for t in sorted(range(k), key=phi.__getitem__)]
+        img = [with_sig.get(s) for s in transpose(moved, L.n)]
+        if None not in img and all(sum(1 << img[y] for y in bits(covL[x])) == covM[img[x]] for x in range(L.n)):
             return img
     return None

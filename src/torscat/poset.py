@@ -120,6 +120,29 @@ def unions(rows):
     return found
 
 
+def pair_rows(n, pairs):
+    """Rows of the reflexive relation on range(n) holding the pairs (i, j); a
+    pair that is not two ints (not bools) in range(n) raises ValueError."""
+    up = [1 << i for i in range(n)]
+    for pair in pairs:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(type(v) is int and 0 <= v < n for v in pair)):
+            raise ValueError(f"order pair {pair!r} is not two element indices in range({n})")
+        up[pair[0]] |= 1 << pair[1]
+    return up
+
+
+def _containing(masks, column):
+    """up[i], the members containing masks[i]: the AND of the columns of its
+    points, where column[t] holds the members that contain t."""
+    full, up = (1 << len(masks)) - 1, []
+    for m in masks:
+        u = full
+        for t in bits(m):
+            u &= column[t]
+        up.append(u)
+    return up
+
+
 def covers_from_up(up):
     """Hasse cover masks: cover[i] = {j : i < j, nothing strictly between}.
 
@@ -158,28 +181,31 @@ class Poset:
         raise AttributeError("Poset is immutable")
 
     def _validate(self):
+        """A reflexive relation is a partial order iff it meets its transpose
+        only on the diagonal and is the inclusion order of its down-sets:
+        inclusion is transitive, and in a partial order down[i] lies inside
+        down[j] iff i <= j."""
         n, up = self.n, self.up
-        universe = (1 << n) - 1
-        for i in range(n):
-            if up[i] & ~universe:
+        for i, u in enumerate(up):
+            if u >> n:
                 raise ValueError("relation mentions unknown element")
-            if not (up[i] >> i) & 1:
+            if not (u >> i) & 1:
                 raise ValueError(f"relation not reflexive at {i}")
-            for j in bits(up[i]):
-                if j != i and (up[j] >> i) & 1:
-                    raise ValueError(f"antisymmetry fails on {i},{j}")
-                if up[j] & ~up[i]:
-                    raise ValueError(f"transitivity fails at {i} <= {j}")
+        down = transpose(up, n)
+        for i, (u, d, c) in enumerate(zip(up, down, _containing(down, up))):
+            if u & d != 1 << i:
+                raise ValueError(f"antisymmetry fails on {i},{(u & d ^ 1 << i).bit_length() - 1}")
+            if u != c:
+                j = (u & ~c).bit_length() - 1
+                raise ValueError(f"transitivity fails at {(d & ~down[j]).bit_length() - 1} <= {i} <= {j}")
+        object.__setattr__(self, "_down", tuple(down))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_leq_pairs(cls, labels, pairs):
         """The order generated by the pairs (i, j), i <= j: their reflexive-transitive closure."""
-        up = [1 << i for i in range(len(labels))]
-        for i, j in pairs:
-            up[i] |= 1 << j
-        return cls(labels, transitive_closure(up))
+        return cls(labels, transitive_closure(pair_rows(len(labels), pairs)))
 
     @classmethod
     def chain(cls, n):
@@ -242,17 +268,20 @@ class Poset:
     def from_json(cls, data):
         if isinstance(data, str):
             data = json.loads(data)
-        labels = data["elements"]
-        return cls.from_leq_pairs(labels, [tuple(x) for x in data["leq"]])
+        if not (isinstance(data, dict) and isinstance(data.get("elements"), list) and isinstance(data.get("leq"), list)):
+            raise ValueError('a poset is an object with an "elements" list and a "leq" list')
+        return cls.from_leq_pairs(data["elements"], data["leq"])
 
     def to_dot(self, name="poset"):
-        lines = [f"digraph {name} {{", "  rankdir=BT;"]
-        for i, lab in enumerate(self.labels):
-            lines.append(f'  n{i} [label="{lab}"];')
-        for i, j in self.cover_pairs():
-            lines.append(f"  n{i} -> n{j};")
-        lines.append("}")
-        return "\n".join(lines)
+        return dot_digraph(name, self.labels, self.cover_pairs())
+
+
+def dot_digraph(name, labels, edges):
+    """DOT text of a Hasse diagram drawn bottom-up: node n<i> labelled labels[i], one arrow per edge."""
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines += [f'  n{i} [label="{lab}"];' for i, lab in enumerate(labels)]
+    lines += [f"  n{i} -> n{j};" for i, j in edges]
+    return "\n".join(lines + ["}"])
 
 
 def interval_poset(n):
@@ -260,14 +289,7 @@ def interval_poset(n):
     if n < 1:
         raise ValueError("interval_poset requires n >= 1")
     ivs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    idx = {iv: k for k, iv in enumerate(ivs)}
-    up = []
-    for (i, j) in ivs:
-        m = 0
-        for (k, l) in ivs:
-            if k <= i and j <= l:
-                m |= 1 << idx[(k, l)]
-        up.append(m)
+    up = [sum(1 << t for t, (k, l) in enumerate(ivs) if k <= i and j <= l) for i, j in ivs]
     labels = [f"[{i},{j}]" for (i, j) in ivs]
     return Poset(labels, up, _checked=True)
 

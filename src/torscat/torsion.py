@@ -42,7 +42,7 @@ from .lattice import (
     lattice_isomorphic,
 )
 from .linalg import Subspace
-from .poset import bits, interval_poset, poset_isomorphic, transitive_closure
+from .poset import bits, dot_digraph, interval_poset, pair_rows, poset_isomorphic, transitive_closure
 
 __all__ = [
     "TorsionError",
@@ -578,19 +578,12 @@ def is_serre(ctx, mask):
 # -- the omega lattice via simples ---------------------------------------------
 
 
-def _reachability(n, edges):
-    """Row v holds every vertex reachable from v, v included."""
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-    return transitive_closure(adj)
-
-
 def omega_lattice_from_digraph(n, edges, labels=None):
-    """Lattice of successor-closed vertex subsets ordered by inclusion."""
+    """Lattice of successor-closed vertex subsets ordered by inclusion: the
+    down-sets of the preorder whose row v holds the vertices reachable from v."""
     if labels is None:
         labels = [str(i + 1) for i in range(n)]
-    return downset_lattice(_reachability(n, edges), labels)
+    return downset_lattice(transitive_closure(pair_rows(n, edges)), labels)
 
 
 def omega_lattice_via_simples(A):
@@ -788,24 +781,12 @@ def torsion_lattice_report(TL, order=True):
     return rep
 
 
-def torsion_lattice_to_dot(TL, name="torsion"):
-    rep = torsion_lattice_report(TL)
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for i, entry in enumerate(rep["classes"]):
-        flags = "".join(
-            tag
-            for tag, on in [
-                ("w", entry["omega1"]),
-                ("v", entry["omega2"]),
-                ("h", entry["hereditary"]),
-                ("c", entry["cohereditary"]),
-                ("s", entry["split"]),
-            ]
-            if on
-        )
-        label = "{" + ",".join(entry["tors_names"]) + "}" + (f" [{flags}]" if flags else "")
-        lines.append(f'  n{i} [label="{label}"];')
-    for a, b in rep["hasse"]:
-        lines.append(f"  n{a} -> n{b};")
-    lines.append("}")
-    return "\n".join(lines)
+def torsion_lattice_to_dot(rep, hasse, name="torsion"):
+    """The DOT Hasse diagram of a torsion lattice, from the classes of its
+    ``torsion_lattice_report`` and its cover pairs ``hasse``."""
+    tags = (("w", "omega1"), ("v", "omega2"), ("h", "hereditary"), ("c", "cohereditary"), ("s", "split"))
+    labels = []
+    for entry in rep["classes"]:
+        flags = "".join(tag for tag, key in tags if entry[key])
+        labels.append("{" + ",".join(entry["tors_names"]) + "}" + (f" [{flags}]" if flags else ""))
+    return dot_digraph(name, labels, hasse)

@@ -45,6 +45,10 @@ meet and join tables.
 ``check_joins_are_unions`` and ``check_meets_are_intersections`` check a
 family of sets pair by pair, the n^2/2 passes that the ring-of-sets
 certificate of ``FinLattice.from_ring`` replaces.
+``is_partial_order`` checks the three axioms pair by pair and triple by
+triple.  ``join_lift_isomorphic`` lifts each order isomorphism of the
+join-irreducibles through |J| joins per element, as ``lattice_isomorphic``
+did before it looked each element up by signature.
 ``typeA_fixed_point_classes`` closes each set of type-A intervals by
 rescanning every rule until nothing changes, as ``typeA_torsion_classes``
 did before its worklist closure.
@@ -72,7 +76,7 @@ from torscat.algebra import (
 )
 from torscat.lattice import Congruence, FinLattice, VerificationFailed
 from torscat.linalg import Matrix, Subspace, solve
-from torscat.poset import Poset, bits
+from torscat.poset import Poset, bits, poset_isos
 
 
 def as_array(m):
@@ -792,6 +796,75 @@ def check_meets_are_intersections(L, masks):
         if not members >= {ma & mb for mb in masks[a + 1 :]}:
             b = next(b for b in range(a + 1, len(masks)) if ma & masks[b] not in members)
             raise VerificationFailed("meet is not the intersection", {"a": L.labels[a], "b": L.labels[b]})
+
+
+# -- partial orders by definition ---------------------------------------------------
+
+
+def is_partial_order(n, up):
+    """Whether the relation on range(n) with up-set rows ``up`` (bit j of up[i]
+    set iff i <= j) is reflexive, antisymmetric and transitive."""
+    leq = [[bool(up[i] >> j & 1) for j in range(n)] for i in range(n)]
+    return (
+        all(leq[i][i] for i in range(n))
+        and not any(leq[i][j] and leq[j][i] for i in range(n) for j in range(n) if i != j)
+        and all(leq[i][k] for i in range(n) for j in range(n) for k in range(n) if leq[i][j] and leq[j][k])
+    )
+
+
+# -- lattice isomorphisms lifted by joins -------------------------------------------
+
+
+def join_lift_isomorphic(L, M):
+    """A lattice isomorphism L -> M as a list, or None, found the way
+    ``lattice_isomorphic`` did before it lifted by signature.
+
+    Restricts both orders to the join-irreducibles by |J|^2 ``leq`` calls,
+    searches order isomorphisms between them, and lifts each through |J|
+    joins per element, x to the join of the images of the join-irreducibles
+    below x; a lift is kept when it is a bijection mapping the covers of L
+    exactly onto the covers of M.
+    """
+    if L.n != M.n:
+        return None
+    if L.n == 1:
+        return [0]
+    jiL = [x for x, _ in L.join_irreducibles()]
+    jiM = [x for x, _ in M.join_irreducibles()]
+    if len(jiL) != len(jiM):
+        return None
+
+    def restrict(lat, elems):
+        pos = {e: k for k, e in enumerate(elems)}
+        up = []
+        for e in elems:
+            m = 0
+            for f in elems:
+                if lat.leq(e, f):
+                    m |= 1 << pos[f]
+            up.append(m)
+        return Poset([lat.labels[e] for e in elems], up)
+
+    PL, PM = restrict(L, jiL), restrict(M, jiM)
+    dnL, covL, covM = L.down(), L.covers(), M.covers()
+    bottom = M.bottom()
+    for phi in poset_isos(PL, PM):
+        img = [0] * L.n
+        ok = True
+        seen = set()
+        for x in range(L.n):
+            y = bottom
+            for k, j in enumerate(jiL):
+                if (dnL[x] >> j) & 1:
+                    y = M.join(y, jiM[phi[k]])
+            if y in seen:
+                ok = False
+                break
+            seen.add(y)
+            img[x] = y
+        if ok and all(sum(1 << img[y] for y in bits(covL[x])) == covM[img[x]] for x in range(L.n)):
+            return img
+    return None
 
 
 # -- symbolic type-A torsion classes by fixed-point closure -----------------------

@@ -251,12 +251,37 @@ def test_dot_output(tmp_path, capsys):
     assert text.startswith("digraph") and text.count("->") == 6
 
 
+def test_dot_tors_evaluates_each_predicate_once(tmp_path, capsys, monkeypatch):
+    # the DOT file is drawn from the report the command printed: omega_1 and omega_2 once per class
+    calls = []
+    is_omega_n = torsion.is_omega_n
+    monkeypatch.setattr(torsion, "is_omega_n", lambda *args: calls.append(args) or is_omega_n(*args))
+    code, out, err = run(capsys, "--dot", str(tmp_path / "int2.dot"), "tors", "int:2")
+    assert (code, err) == (0, "") and "14 torsion pairs" in out
+    assert len(calls) == 2 * 14
+
+
 def test_poset_json_file_input(tmp_path, capsys):
     P = interval_poset(2)
     f = tmp_path / "poset.json"
     f.write_text(json.dumps(P.to_json()))
     code, out, _ = run(capsys, "omega", str(f))
     assert code == 0 and "size 5" in out
+
+
+@pytest.mark.parametrize(
+    "data", [{"elements": ["a", "b"], "leq": [[-1, 0]]}, {"elements": ["a", "b"], "leq": [[5, 0]]},
+             {"elements": ["a", "b"], "leq": [[0, 7]]}, {"elements": ["a", "b"], "leq": [["0", "1"]]},
+             {"elements": ["a", "b"], "leq": [[0.0, 1]]}, {"elements": ["a", "b"], "leq": [[True, 1]]},
+             {"elements": ["a", "b"], "leq": [0]}, [["a", "b"], [[0, 1]]]],
+)
+def test_poset_json_refuses_what_is_not_an_order_pair(tmp_path, capsys, data):
+    f = tmp_path / "poset.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, "omega", str(f))
+    assert (code, out) == (2, "") and err.startswith("usage error: cannot parse input")
+    if isinstance(data, dict):
+        assert repr(data["leq"][0]) in err
 
 
 def test_algebra_json_file_input(tmp_path, capsys):
@@ -285,6 +310,29 @@ def test_module_rejects_invalid(tmp_path, capsys):
     f.write_text(json.dumps({"dims": [1, 1], "arrows": {"a": [[1]], "b": [[1]]}}))
     code, _, err = run(capsys, "module", "example", str(f))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [({"dims": [1, 1], "arrows": {"zz": [[1]]}}, "zz"), ({"dims": [1, 1], "arrows": {"a": [[0.5]]}}, "a"),
+     ({"dims": [1], "arrows": {}}, "dims"), ({"dims": ["1", 1], "arrows": {}}, "dims")],
+)
+def test_module_json_names_the_bad_field(tmp_path, capsys, data, field):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, "module", "example", str(f))
+    assert (code, out) == (2, "") and field in err
+
+
+def test_algebra_json_refuses_a_fractional_endpoint(tmp_path, capsys):
+    from torscat.algebra import two_cycle_algebra
+
+    data = two_cycle_algebra().to_json()
+    data["arrows"][0]["src"] = 0.7
+    f = tmp_path / "algebra.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, "tors", str(f))
+    assert (code, out) == (2, "") and "src" in err
 
 
 def test_field_three(capsys):

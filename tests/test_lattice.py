@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import numpy as np
@@ -13,6 +14,8 @@ from oracles import (
     cover_pair_congruence_lattice,
     cover_pair_forcing_poset,
     cover_pair_is_congruence_uniform,
+    is_partial_order,
+    join_lift_isomorphic,
     sweep_is_distributive,
     sweep_is_semidistributive,
     tables,
@@ -34,7 +37,7 @@ from torscat.lattice import (
     lattice_isomorphic,
     principal_congruence,
 )
-from torscat.poset import Poset, bits, ideal_lattice, interval_poset, poset_isomorphic, unions
+from torscat.poset import Poset, bits, ideal_lattice, interval_poset, poset_isomorphic, transpose, unions
 
 
 def pentagon():
@@ -534,6 +537,60 @@ def test_verify_thm2_at_scale(capsys, n, congruences):
     assert rep["status"] == "PASS" and rep["con_size"] == rep["dyck_size"] == congruences
 
 
+def test_from_order_on_every_relation_over_three_points():
+    n = 3
+    for rel in range(1 << n * n):
+        up = [rel >> n * i & (1 << n) - 1 for i in range(n)]
+        if not is_partial_order(n, up):
+            with pytest.raises(ValueError):
+                FinLattice.from_order(up)
+        elif any(None in row for table in brute_tables(n, lambda a, b: up[a] >> b & 1) for row in table):
+            with pytest.raises(NotALattice):
+                FinLattice.from_order(up)
+        else:
+            assert FinLattice.from_order(up).down() == tuple(transpose(up, n))
+
+
+def relabelled(L, seed):
+    """L with its elements renumbered by a seeded shuffle."""
+    perm = list(range(L.n))
+    random.Random(seed).shuffle(perm)
+    up = [0] * L.n
+    for i, u in enumerate(L.up):
+        up[perm[i]] = sum(1 << perm[j] for j in bits(u))
+    return FinLattice.from_order(up)
+
+
+def assert_isomorphism_matches_the_join_lift(L, M):
+    found = lattice_isomorphic(L, M)
+    assert found == join_lift_isomorphic(L, M)
+    return found
+
+
+def test_lattice_isomorphic_matches_the_join_lift_on_shuffled_corpus():
+    for seed, L in enumerate(corpus()):
+        assert assert_isomorphism_matches_the_join_lift(L, relabelled(L, seed)) is not None
+
+
+def test_lattice_isomorphic_matches_the_join_lift_on_moore_families():
+    by_size = {}
+    for members in moore_families(3):
+        by_size.setdefault(len(members), []).append(FinLattice.from_sets(members, [str(m) for m in members]))
+    found = [
+        assert_isomorphism_matches_the_join_lift(L, M) for family in by_size.values() for L in family for M in family
+    ]
+    assert None in found and found.count(None) < len(found)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_lattice_isomorphic_matches_the_join_lift_on_catalan_lattices(n):
+    D = dyck_lattice(n)
+    omega = torsion.omega_lattice_via_simples(incidence_algebra(interval_poset(n - 1).opposite()))
+    assert assert_isomorphism_matches_the_join_lift(D, omega) is not None
+    assert assert_isomorphism_matches_the_join_lift(congruence_lattice(tamari_lattice(n)), D) is not None
+    assert assert_isomorphism_matches_the_join_lift(typeA_torsion_lattice(n - 1), tamari_lattice(n)) is not None
+
+
 def test_lattice_isomorphic_basics():
     n5 = pentagon()
     assert lattice_isomorphic(n5, n5) == [0, 1, 2, 3, 4]
@@ -570,6 +627,15 @@ def test_opposite_lattice():
     op = n5.opposite()
     assert op.bottom() == n5.top() and op.top() == n5.bottom()
     assert lattice_isomorphic(op.opposite(), n5) is not None
+
+
+@pytest.mark.parametrize(
+    "data", [[], {"size": "2", "leq": []}, {"size": 2, "leq": [[-1, 0]]}, {"size": 2, "leq": [[0, 2]]},
+             {"size": 2, "leq": [[True, 1]]}, {"size": 2, "leq": [[0.0, 1]]}, {"size": 2, "leq": [[0, 1, 1]]}],
+)
+def test_json_refuses_what_is_not_an_order_pair(data):
+    with pytest.raises(ValueError):
+        FinLattice.from_json(data)
 
 
 def test_json_roundtrip():

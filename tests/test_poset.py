@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import is_partial_order
 
 from torscat.catalan import dyck_lattice, tamari_lattice
 from torscat.poset import (
@@ -62,12 +63,32 @@ def test_opposite_involution():
 
 
 def test_validation_rejects_bad_relations():
-    with pytest.raises(ValueError):
-        Poset(["a", "b"], [0b11, 0b11])  # antisymmetry
-    with pytest.raises(ValueError):
-        Poset(["a", "b"], [0b01, 0b01])  # reflexivity missing at b
-    with pytest.raises(ValueError):
-        Poset(["a", "b", "c"], [0b011, 0b110, 0b100])  # transitivity: a<=b<=c but not a<=c
+    with pytest.raises(ValueError, match="antisymmetry fails on 0,1"):
+        Poset(["a", "b"], [0b11, 0b11])
+    with pytest.raises(ValueError, match="relation not reflexive at 1"):
+        Poset(["a", "b"], [0b01, 0b01])
+    with pytest.raises(ValueError, match="transitivity fails at 0 <= 1 <= 2"):
+        Poset(["a", "b", "c"], [0b011, 0b110, 0b100])  # a<=b<=c but not a<=c
+    with pytest.raises(ValueError, match="relation mentions unknown element"):
+        Poset(["a", "b"], [0b101, 0b10])
+
+
+# labelled partial orders on 0..4 points number 1, 1, 3, 19, 219
+@pytest.mark.parametrize("n, orders", [(0, 1), (1, 1), (2, 3), (3, 19), (4, 219)])
+def test_poset_accepts_exactly_the_partial_orders(n, orders):
+    # every relation on n points, row i holding the j with i <= j
+    accepted = 0
+    for rel in range(1 << n * n):
+        up = [rel >> n * i & (1 << n) - 1 for i in range(n)]
+        try:
+            P = Poset(range(n), up)
+        except ValueError:
+            assert not is_partial_order(n, up), up
+            continue
+        assert is_partial_order(n, up), up
+        assert P.down() == tuple(transpose(up, n))
+        accepted += 1
+    assert accepted == orders
 
 
 def test_order_ideal_counts():

@@ -621,7 +621,7 @@ def test_report_counts_match_predicates(int2_lattice):
 
 
 def test_dot_annotations(example_lattice):
-    dot = torsion_lattice_to_dot(example_lattice)
+    dot = torsion_lattice_to_dot(torsion_lattice_report(example_lattice, order=False), example_lattice.cover_pairs())
     assert dot.count("->") == 6
     assert "[whcs]" in dot or "w" in dot
 
