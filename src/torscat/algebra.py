@@ -116,13 +116,17 @@ def _normalize_relations(relations, arrows):
     for rel in relations:
         terms = []
         for coeff, path in rel:
-            path = tuple(by_name[x] if isinstance(x, str) else int(x) for x in path)
+            if type(coeff) is not int:
+                raise AlgebraError(f"relations: coefficient {coeff!r} is not an integer")
+            if not all(x in by_name if isinstance(x, str) else type(x) is int and 0 <= x < len(arrows) for x in path):
+                raise AlgebraError(f"relations: path {path!r} has an entry that is not an arrow name or arrow index")
+            path = tuple(by_name[x] if isinstance(x, str) else x for x in path)
             if len(path) < 2:
                 raise AlgebraError("relations must involve paths of length >= 2")
             for x, y in zip(path, path[1:]):
                 if arrows[x].tgt != arrows[y].src:
                     raise AlgebraError(f"path {path} is not composable")
-            terms.append((int(coeff), path))
+            terms.append((coeff, path))
         srcs = {arrows[path[0]].src for _, path in terms}
         tgts = {arrows[path[-1]].tgt for _, path in terms}
         if len(srcs) != 1 or len(tgts) != 1:
@@ -657,14 +661,11 @@ class Module:
     def radical(self):
         """rad M = sum of the images of all arrow actions, per vertex."""
         A = self.algebra
-        out = []
-        for v in range(A.n_vertices):
-            sp = Subspace.zero(self.dims[v], A.p)
-            for ai, a in enumerate(A.arrows):
-                if a.tgt == v:
-                    sp = sp + self.mats[ai].image()
-            out.append(sp)
-        return out
+        return [
+            Subspace.from_rows([c for ai, a in enumerate(A.arrows) if a.tgt == v for c in self.mats[ai].columns()],
+                               self.dims[v], A.p)
+            for v in range(A.n_vertices)
+        ]
 
     def top_multiplicities(self):
         rad = self.radical()

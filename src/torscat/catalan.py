@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattice import FinLattice, check_size
-from .poset import Poset, interval_poset, transitive_closure
+from .lattice import FinLattice, VerificationFailed, check_size
+from .poset import Poset, bits, interval_poset
 
 __all__ = [
     "dyck_paths",
@@ -21,6 +21,7 @@ __all__ = [
     "tamari_lattice",
     "typeA_torsion_classes",
     "typeA_torsion_lattice",
+    "typeA_tamari_map",
 ]
 
 
@@ -138,21 +139,47 @@ def _rotations_up(t):
     return out
 
 
-def tamari_lattice(n):
-    """Binary trees with n internal nodes; covers are single rotations.
+def _bracket_vector(t):
+    """The bracket vector of a binary tree: the size of the right subtree
+    of each node, nodes in in-order (Huang-Tamari)."""
+    if t is None:
+        return ()
+    right = _bracket_vector(t[1])
+    return _bracket_vector(t[0]) + (len(right),) + right
 
-    The order is the transitive closure of the rotation covers;
-    ``from_order`` checks that the principal down-sets are closed under
-    intersection with a greatest one.  More than ``PAIRWISE_CAP`` trees
-    raise LimitExceeded before the closure is built.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
+
+def _rotation_graph(n):
+    """The binary trees with n nodes sorted by ``tree_to_parens``, their
+    bracket vectors, and their rotation covers as bitmask rows."""
     trees = sorted(binary_trees(n), key=tree_to_parens)
     check_size(len(trees))
     index = {t: i for i, t in enumerate(trees)}
-    up = transitive_closure([sum(1 << index[t2] for t2 in _rotations_up(t)) for t in trees])
-    return FinLattice.from_order(up, labels=[tree_to_parens(t) for t in trees])
+    rot = [sum(1 << index[t2] for t2 in _rotations_up(t)) for t in trees]
+    return trees, [_bracket_vector(t) for t in trees], rot
+
+
+def tamari_lattice(n):
+    """Binary trees with n internal nodes; covers are single rotations.
+
+    T <= T' iff the bracket vector of T is at most that of T' in every
+    coordinate, and meets are componentwise minima (Huang-Tamari, J.
+    Combin. Theory A 13, 1972).  Each tree is encoded by its bracket
+    vector r in unary (bits i*n ... i*n + r_i - 1), so that order is
+    inclusion, and ``from_sets`` certifies the lattice in n |M| lookups.
+    Its Hasse covers must be the rotations, an O(covers) check: a finite
+    order is the transitive closure of its covers, so the order is then
+    the rotation order.  A mismatch raises VerificationFailed.  More than
+    ``PAIRWISE_CAP`` trees raise LimitExceeded before any set is built.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    trees, vectors, rot = _rotation_graph(n)
+    masks = [sum(((1 << r) - 1) << (i * n) for i, r in enumerate(v)) for v in vectors]
+    L = FinLattice.from_sets(masks, [tree_to_parens(t) for t in trees])
+    if L.covers() != tuple(rot):
+        x = next(x for x, c in enumerate(L.covers()) if c != rot[x])
+        raise VerificationFailed("the bracket-vector covers are not the rotations", {"tree": L.labels[x]})
+    return L
 
 
 # -- symbolic type-A torsion classes ------------------------------------------
@@ -170,6 +197,11 @@ def typeA_torsion_classes(n):
     adjacent intervals [i,j], [j+1,l] has middle term [i,l].  Returned as
     bitmasks over the intervals in lexicographic order.
     """
+    return list(_typeA_classes(n))
+
+
+@lru_cache(maxsize=None)
+def _typeA_classes(n):
     if not 1 <= n <= 6:
         raise ValueError("symbolic type-A model limited to 1 <= n <= 6")
     ivs, idx = _interval_index(n)
@@ -214,15 +246,53 @@ def typeA_torsion_classes(n):
             if j not in found:
                 found.add(j)
                 frontier.append(j)
-    return sorted(found, key=lambda m: (bin(m).count("1"), m))
+    return tuple(sorted(found, key=lambda m: (bin(m).count("1"), m)))
 
 
 def typeA_torsion_lattice(n):
     """The lattice of symbolic type-A torsion classes, ordered by inclusion."""
-    classes = typeA_torsion_classes(n)
+    classes = _typeA_classes(n)
     ivs, _ = _interval_index(n)
     labels = []
     for c in classes:
         mem = [f"M[{ivs[t][0]},{ivs[t][1]}]" for t in range(len(ivs)) if (c >> t) & 1]
         labels.append("{" + ",".join(mem) + "}")
     return FinLattice.from_sets(classes, labels)
+
+
+def typeA_tamari_map(L, n):
+    """The isomorphism from L = ``typeA_torsion_lattice(n)`` onto
+    ``tamari_lattice(n + 1)``, as the index of each class's tree there.
+
+    A class c is closed under quotients, so with [i,i] ... [i,i+r_i-1]
+    its prefix run at i, it holds those runs; c goes to the tree with
+    bracket vector (r_1, ..., r_n, 0).  The map is certified, with no
+    search, by three checks: c is exactly the union of its runs, the map
+    is a bijection onto the trees with n + 1 nodes, and it sends the
+    covers of L exactly onto the rotation covers.  A bijection that maps
+    covers onto covers is an order isomorphism, as each order is the
+    transitive closure of its covers.  A failed check raises
+    VerificationFailed.
+    """
+    classes = _typeA_classes(n)
+    _, vectors, rot = _rotation_graph(n + 1)
+    with_vector = {v: i for i, v in enumerate(vectors)}
+    img = []
+    for c in classes:
+        runs, vec, start = 0, [], 0
+        for i in range(n):
+            block = c >> start & (1 << n - i) - 1
+            r = (~block & block + 1).bit_length() - 1
+            runs |= ((1 << r) - 1) << start
+            vec.append(r)
+            start += n - i
+        if runs != c:
+            raise VerificationFailed("a type-A class is not the union of its prefix runs", {"class": c})
+        img.append(with_vector.get((*vec, 0)))
+    if len(classes) != L.n or len(vectors) != L.n or None in img or len(set(img)) != L.n:
+        raise VerificationFailed("the prefix runs are not a bijection onto the bracket vectors", {"n": n})
+    cov = L.covers()
+    for x, y in enumerate(img):
+        if sum(1 << img[z] for z in bits(cov[x])) != rot[y]:
+            raise VerificationFailed("a type-A cover is not a rotation", {"class": classes[x]})
+    return img

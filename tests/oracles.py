@@ -44,7 +44,12 @@ meet and join tables.
 
 ``check_joins_are_unions`` and ``check_meets_are_intersections`` check a
 family of sets pair by pair, the n^2/2 passes that the ring-of-sets
-certificate of ``FinLattice.from_ring`` replaces.
+certificate of ``FinLattice.from_ring`` replaces; ``pairwise_from_sets``
+builds a lattice of sets behind the pairwise meet pass, as
+``FinLattice.from_sets`` did before it checked meets against the members
+that are not the intersection of their upper covers.
+``rotation_closure_tamari`` builds the Tamari lattice as the transitive
+closure of its rotations, with ``rotations`` of its own.
 ``is_partial_order`` checks the three axioms pair by pair and triple by
 triple.  ``join_lift_isomorphic`` lifts each order isomorphism of the
 join-irreducibles through |J| joins per element, as ``lattice_isomorphic``
@@ -74,9 +79,10 @@ from torscat.algebra import (
     hom,
     hom_dim,
 )
-from torscat.lattice import Congruence, FinLattice, VerificationFailed
+from torscat.catalan import binary_trees, tree_to_parens
+from torscat.lattice import Congruence, FinLattice, NotALattice, VerificationFailed
 from torscat.linalg import Matrix, Subspace, solve
-from torscat.poset import Poset, bits, poset_isos
+from torscat.poset import Poset, bits, poset_isos, transitive_closure
 
 
 def as_array(m):
@@ -796,6 +802,51 @@ def check_meets_are_intersections(L, masks):
         if not members >= {ma & mb for mb in masks[a + 1 :]}:
             b = next(b for b in range(a + 1, len(masks)) if ma & masks[b] not in members)
             raise VerificationFailed("meet is not the intersection", {"a": L.labels[a], "b": L.labels[b]})
+
+
+def pairwise_from_sets(masks, labels):
+    """The lattice of a family of sets ordered by inclusion, as
+    ``FinLattice.from_sets`` built it before its meet certificate: the
+    n^2/2 pairwise intersections first (NotALattice "meet" at the first
+    pair whose intersection is missing), then one maximal member (else
+    NotALattice "join"), and the inclusion order pair by pair."""
+    masks = [int(m) for m in masks]
+    if not masks:
+        raise NotALattice(None, None, "bottom (empty order)")
+    members = set(masks)
+    if len(members) != len(masks):
+        raise ValueError("the sets of a lattice must be distinct")
+    for a, ma in enumerate(masks):
+        for b in range(a + 1, len(masks)):
+            if ma & masks[b] not in members:
+                raise NotALattice(labels[a], labels[b], "meet")
+    up = [sum(1 << b for b, mb in enumerate(masks) if ma & ~mb == 0) for ma in masks]
+    tops = [i for i, u in enumerate(up) if u == 1 << i]
+    if len(tops) > 1:
+        raise NotALattice(labels[tops[0]], labels[tops[1]], "join")
+    return FinLattice(labels, up)
+
+
+# -- the Tamari lattice by rotation closure --------------------------------------------
+
+
+def rotations(t):
+    """The trees one rotation ((A, B), C) -> (A, (B, C)) above t, at any node."""
+    if t is None:
+        return []
+    l, r = t
+    out = [(l[0], (l[1], r))] if l is not None else []
+    return out + [(x, r) for x in rotations(l)] + [(l, x) for x in rotations(r)]
+
+
+def rotation_closure_tamari(n):
+    """The Tamari lattice on ``binary_trees(n)`` sorted by ``tree_to_parens``,
+    as ``tamari_lattice`` built it before bracket vectors: the transitive
+    closure of the rotations, handed to ``FinLattice.from_order``."""
+    trees = sorted(binary_trees(n), key=tree_to_parens)
+    index = {t: i for i, t in enumerate(trees)}
+    up = transitive_closure([sum(1 << index[x] for x in rotations(t)) for t in trees])
+    return FinLattice.from_order(up, [tree_to_parens(t) for t in trees])
 
 
 # -- partial orders by definition ---------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 
 import numpy as np
 import oracles
@@ -76,6 +77,25 @@ def test_from_quiver_rejects_infinite_dimensional():
 def test_from_quiver_rejects_short_relations():
     with pytest.raises(AlgebraError):
         Algebra.from_quiver(["1", "2"], [("a", 0, 1)], [[(1, ("a",))]])
+
+
+@pytest.mark.parametrize("path", [(0, 1.0), ("a", "c"), (0, 2), (True, 1)])
+def test_from_quiver_refuses_a_path_entry_that_is_no_arrow(path):
+    with pytest.raises(AlgebraError, match="is not an arrow name or arrow index"):
+        Algebra.from_quiver(["1", "2"], [("a", 0, 1), ("b", 1, 0)], [[(1, path)]])
+
+
+def test_radical_is_the_sum_of_the_arrow_images():
+    indecs = indecomposables(incidence_algebra(interval_poset(3)), 2)
+    assert len(indecs) == 35
+    for M in indecs:
+        A = M.algebra
+        images = [
+            functools.reduce(operator.add, [M.mats[ai].image() for ai, a in enumerate(A.arrows) if a.tgt == v],
+                             Subspace.zero(M.dims[v], A.p))
+            for v in range(A.n_vertices)
+        ]
+        assert M.radical() == images
 
 
 def test_incidence_algebra_dimensions():

@@ -1,6 +1,7 @@
 import pytest
-from oracles import typeA_fixed_point_classes
+from oracles import rotation_closure_tamari, typeA_fixed_point_classes
 
+from torscat import catalan
 from torscat.catalan import (
     binary_trees,
     dyck_lattice,
@@ -8,10 +9,12 @@ from torscat.catalan import (
     dyck_to_ideal,
     tamari_lattice,
     tree_to_parens,
+    typeA_tamari_map,
     typeA_torsion_classes,
     typeA_torsion_lattice,
 )
-from torscat.lattice import FinLattice, congruence_lattice, is_congruence_uniform, lattice_isomorphic
+from torscat.cli import main
+from torscat.lattice import FinLattice, VerificationFailed, congruence_lattice, is_congruence_uniform, lattice_isomorphic
 from torscat.poset import Poset, ideal_lattice, interval_poset, unions
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
@@ -129,9 +132,40 @@ def test_typeA_bounds():
         typeA_torsion_classes(7)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_typeA_isomorphic_to_tamari(n):
-    assert lattice_isomorphic(typeA_torsion_lattice(n), tamari_lattice(n + 1)) is not None
+    # the explicit map is the isomorphism the search finds
+    L = typeA_torsion_lattice(n)
+    assert typeA_tamari_map(L, n) == lattice_isomorphic(L, tamari_lattice(n + 1))
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.extended)])
+def test_bracket_vector_tamari_matches_the_rotation_closure(n):
+    L, oracle = tamari_lattice(n), rotation_closure_tamari(n)
+    assert (L.labels, L.up, L.covers()) == (oracle.labels, oracle.up, oracle.covers())
+
+
+def test_bracket_vector_tamari_is_certified_by_the_rotations(monkeypatch):
+    # one rotation fewer: the bracket-vector order keeps that cover, so the check must refuse it
+    rotations_up = catalan._rotations_up
+    monkeypatch.setattr(catalan, "_rotations_up", lambda t: rotations_up(t)[1:])
+    with pytest.raises(VerificationFailed, match="bracket-vector covers are not the rotations"):
+        tamari_lattice(3)
+
+
+def test_typeA_map_refuses_a_lattice_that_is_not_typeA(capsys, monkeypatch):
+    # Dyck_4 has the 14 elements of typeA 3, but its covers are not the rotations of Tamari_4
+    with pytest.raises(VerificationFailed, match="type-A cover is not a rotation"):
+        typeA_tamari_map(dyck_lattice(4), 3)
+    with pytest.raises(VerificationFailed, match="not a bijection"):
+        typeA_tamari_map(typeA_torsion_lattice(2), 3)
+    with monkeypatch.context() as m:
+        m.setattr(catalan, "_typeA_classes", lambda n: (0b000, 0b010))  # {[1,2]} lacks its quotient [1,1]
+        with pytest.raises(VerificationFailed, match="not the union of its prefix runs"):
+            typeA_tamari_map(tamari_lattice(2), 2)
+    monkeypatch.setattr("torscat.cli.typeA_torsion_lattice", lambda n: dyck_lattice(n + 1))
+    assert main(["catalan", "typeA", "3"]) == 1
+    assert capsys.readouterr().err.startswith("verification FAILED: a type-A cover is not a rotation")
 
 
 def test_brick_forcing_poset():

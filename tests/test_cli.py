@@ -335,6 +335,20 @@ def test_algebra_json_refuses_a_fractional_endpoint(tmp_path, capsys):
     assert (code, out) == (2, "") and "src" in err
 
 
+@pytest.mark.parametrize("coeff", [1.5, 0.5])
+def test_algebra_json_refuses_a_fractional_relation_coefficient(tmp_path, capsys, coeff):
+    # int() read 1.5 as 1 (exit 0, 6 torsion pairs) and 0.5 as 0 (a misleading exit 2)
+    from torscat.algebra import two_cycle_algebra
+
+    data = two_cycle_algebra().to_json()
+    data["relations"] = [[[coeff, ["a", "b"]]]]
+    f = tmp_path / "algebra.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, "tors", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: cannot parse input (relations: coefficient {coeff} is not an integer)\n"
+
+
 def test_field_three(capsys):
     code, out, _ = run(capsys, "--field", "3", "tors", "example")
     assert code == 0 and "6 torsion pairs" in out

@@ -16,6 +16,7 @@ from oracles import (
     cover_pair_is_congruence_uniform,
     is_partial_order,
     join_lift_isomorphic,
+    pairwise_from_sets,
     sweep_is_distributive,
     sweep_is_semidistributive,
     tables,
@@ -179,6 +180,50 @@ def test_from_sets_rejects_non_lattices():
     assert err.value.kind == "join" and set(err.value.pair) == {"a", "b"}
     with pytest.raises(NotALattice):
         FinLattice.from_sets([], [])
+
+
+def assert_from_sets_matches_the_pairwise_pass(masks):
+    """from_sets and the pairwise oracle agree: the same up rows and covers,
+    or NotALattice of the same kind."""
+    labels = [str(m) for m in masks]
+    try:
+        expected = pairwise_from_sets(masks, labels)
+    except NotALattice as err:
+        with pytest.raises(NotALattice) as got:
+            FinLattice.from_sets(masks, labels)
+        assert got.value.kind == err.kind, masks
+        return False
+    L = FinLattice.from_sets(masks, labels)
+    assert L.up == expected.up and L.covers() == expected.covers(), masks
+    return True
+
+
+def test_from_sets_matches_the_pairwise_pass_on_every_family_over_three_points():
+    families = [[m for m in range(8) if fam >> m & 1] for fam in range(1, 256)]
+    lattices = sum(assert_from_sets_matches_the_pairwise_pass(masks[::-1]) for masks in families)
+    assert lattices == 1 + 3 * 2 + 3 * 7 + 61  # the Moore families, whose top need not be the whole set
+
+
+def test_from_sets_matches_the_pairwise_pass_on_moore_families_over_four_points():
+    assert all(assert_from_sets_matches_the_pairwise_pass(masks[::-1]) for masks in moore_families(4))
+
+
+def test_from_sets_matches_the_pairwise_pass_on_random_families():
+    rng = random.Random(26)
+    kinds = [0, 0]
+    for _ in range(3000):
+        ground = rng.randint(1, 6)
+        masks = rng.sample(range(1 << ground), rng.randint(1, min(12, 1 << ground)))
+        closed = [m & x for m in masks for x in masks]
+        masks = list(dict.fromkeys(masks + closed[: rng.randint(0, len(closed))]))  # some closed, most not
+        kinds[assert_from_sets_matches_the_pairwise_pass(masks)] += 1
+    assert min(kinds) > 100
+
+
+def test_from_sets_matches_the_pairwise_pass_on_corpus():
+    for L in corpus():
+        assert_from_sets_matches_the_pairwise_pass(list(L.down()))
+        assert_from_sets_matches_the_pairwise_pass(list(L.up))
 
 
 def test_check_joins_are_unions():
