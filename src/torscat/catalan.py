@@ -197,11 +197,6 @@ def typeA_torsion_classes(n):
     adjacent intervals [i,j], [j+1,l] has middle term [i,l].  Returned as
     bitmasks over the intervals in lexicographic order.
     """
-    return list(_typeA_classes(n))
-
-
-@lru_cache(maxsize=None)
-def _typeA_classes(n):
     if not 1 <= n <= 6:
         raise ValueError("symbolic type-A model limited to 1 <= n <= 6")
     ivs, idx = _interval_index(n)
@@ -246,23 +241,18 @@ def _typeA_classes(n):
             if j not in found:
                 found.add(j)
                 frontier.append(j)
-    return tuple(sorted(found, key=lambda m: (bin(m).count("1"), m)))
+    return sorted(found, key=lambda m: (bin(m).count("1"), m))
 
 
 def typeA_torsion_lattice(n):
-    """The lattice of symbolic type-A torsion classes, ordered by inclusion."""
-    classes = _typeA_classes(n)
-    ivs, _ = _interval_index(n)
-    labels = []
-    for c in classes:
-        mem = [f"M[{ivs[t][0]},{ivs[t][1]}]" for t in range(len(ivs)) if (c >> t) & 1]
-        labels.append("{" + ",".join(mem) + "}")
-    return FinLattice.from_sets(classes, labels)
+    """The lattice of symbolic type-A torsion classes, ordered by inclusion,
+    certified isomorphic to ``tamari_lattice(n + 1)`` by ``typeA_tamari_map``."""
+    return typeA_tamari_map(n)[0]
 
 
-def typeA_tamari_map(L, n):
-    """The isomorphism from L = ``typeA_torsion_lattice(n)`` onto
-    ``tamari_lattice(n + 1)``, as the index of each class's tree there.
+def typeA_tamari_map(n):
+    """The lattice L of symbolic type-A torsion classes and its isomorphism
+    onto ``tamari_lattice(n + 1)``, as the index of each class's tree there.
 
     A class c is closed under quotients, so with [i,i] ... [i,i+r_i-1]
     its prefix run at i, it holds those runs; c goes to the tree with
@@ -274,7 +264,13 @@ def typeA_tamari_map(L, n):
     transitive closure of its covers.  A failed check raises
     VerificationFailed.
     """
-    classes = _typeA_classes(n)
+    classes = typeA_torsion_classes(n)
+    ivs, _ = _interval_index(n)
+    labels = []
+    for c in classes:
+        mem = [f"M[{ivs[t][0]},{ivs[t][1]}]" for t in range(len(ivs)) if (c >> t) & 1]
+        labels.append("{" + ",".join(mem) + "}")
+    L = FinLattice.from_sets(classes, labels)
     _, vectors, rot = _rotation_graph(n + 1)
     with_vector = {v: i for i, v in enumerate(vectors)}
     img = []
@@ -289,10 +285,10 @@ def typeA_tamari_map(L, n):
         if runs != c:
             raise VerificationFailed("a type-A class is not the union of its prefix runs", {"class": c})
         img.append(with_vector.get((*vec, 0)))
-    if len(classes) != L.n or len(vectors) != L.n or None in img or len(set(img)) != L.n:
+    if len(vectors) != L.n or None in img or len(set(img)) != L.n:
         raise VerificationFailed("the prefix runs are not a bijection onto the bracket vectors", {"n": n})
     cov = L.covers()
     for x, y in enumerate(img):
         if sum(1 << img[z] for z in bits(cov[x])) != rot[y]:
             raise VerificationFailed("a type-A cover is not a rotation", {"class": classes[x]})
-    return img
+    return L, img

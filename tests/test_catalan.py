@@ -135,8 +135,9 @@ def test_typeA_bounds():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_typeA_isomorphic_to_tamari(n):
     # the explicit map is the isomorphism the search finds
-    L = typeA_torsion_lattice(n)
-    assert typeA_tamari_map(L, n) == lattice_isomorphic(L, tamari_lattice(n + 1))
+    L, img = typeA_tamari_map(n)
+    assert img == lattice_isomorphic(L, tamari_lattice(n + 1))
+    assert (L.labels, L.up) == (typeA_torsion_lattice(n).labels, typeA_torsion_lattice(n).up)
 
 
 @pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.extended)])
@@ -153,17 +154,20 @@ def test_bracket_vector_tamari_is_certified_by_the_rotations(monkeypatch):
         tamari_lattice(3)
 
 
-def test_typeA_map_refuses_a_lattice_that_is_not_typeA(capsys, monkeypatch):
-    # Dyck_4 has the 14 elements of typeA 3, but its covers are not the rotations of Tamari_4
-    with pytest.raises(VerificationFailed, match="type-A cover is not a rotation"):
-        typeA_tamari_map(dyck_lattice(4), 3)
-    with pytest.raises(VerificationFailed, match="not a bijection"):
-        typeA_tamari_map(typeA_torsion_lattice(2), 3)
+def test_typeA_map_refuses_classes_that_are_not_typeA(capsys, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(catalan, "_typeA_classes", lambda n: (0b000, 0b010))  # {[1,2]} lacks its quotient [1,1]
+        m.setattr(catalan, "typeA_torsion_classes", lambda n: [0b000, 0b010])  # {[1,2]} lacks its quotient [1,1]
         with pytest.raises(VerificationFailed, match="not the union of its prefix runs"):
-            typeA_tamari_map(tamari_lattice(2), 2)
-    monkeypatch.setattr("torscat.cli.typeA_torsion_lattice", lambda n: dyck_lattice(n + 1))
+            typeA_tamari_map(2)
+    with monkeypatch.context() as m:
+        m.setattr(catalan, "typeA_torsion_classes", lambda n: [0b000, 0b001])  # a chain of 2, not 5 classes
+        with pytest.raises(VerificationFailed, match="not a bijection"):
+            typeA_tamari_map(2)
+    # one rotation fewer: the type-A covers keep that cover, so the check must refuse it
+    rotations_up = catalan._rotations_up
+    monkeypatch.setattr(catalan, "_rotations_up", lambda t: rotations_up(t)[1:])
+    with pytest.raises(VerificationFailed, match="type-A cover is not a rotation"):
+        typeA_torsion_lattice(3)
     assert main(["catalan", "typeA", "3"]) == 1
     assert capsys.readouterr().err.startswith("verification FAILED: a type-A cover is not a rotation")
 
