@@ -2,7 +2,9 @@
 
 Dyck paths under pointwise height dominance, the Tamari lattice of binary
 trees under rotation, and a symbolic model of the torsion classes of the
-linearly oriented type-A path algebra on interval supports.
+linearly oriented type-A path algebra on interval supports, enumerated as
+their prefix-run vectors, which are the Tamari bracket vectors with a
+trailing 0 dropped.
 """
 
 from __future__ import annotations
@@ -185,63 +187,39 @@ def tamari_lattice(n):
 # -- symbolic type-A torsion classes ------------------------------------------
 
 
-def _interval_index(n):
-    ivs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    return ivs, {iv: k for k, iv in enumerate(ivs)}
+def _prefix_runs(n):
+    """The symbolic type-A torsion classes as (mask, r) pairs, in
+    ``typeA_torsion_classes`` order, r = (r_1, ..., r_n) the prefix runs.
+
+    Quotients of the interval [i,j] are the prefixes [i,k], k <= j, and
+    the extension of [i,j] by [j+1,l] has middle term [i,l].  A class c
+    closed under quotients is the union of its prefix runs [i,i] ...
+    [i,i+r_i-1], r_i the longest: were [i,j] in c with j >= i + r_i, so
+    would be its quotient [i,i+r_i].  Such a union holds [i,j] iff
+    j < i + r_i, so it is closed under extensions iff, for i <= j <
+    min(i + r_i, n), every l <= j + r_(j+1) has l < i + r_i, that is
+
+        r_(j+1) + (j+1-i) <= r_i,
+
+    which holds anyway when r_(j+1) = 0.  So the classes are exactly the
+    vectors with 0 <= r_i <= n - i + 1 that satisfy it, and as it bounds
+    r_i by r_(i+1) ... r_n alone, they are built from r_n back to r_1,
+    each run prepended to the mask as one block of n - i + 1 bits.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    runs = [(0, ())]
+    for i in range(n, 0, -1):
+        runs = [(m << (n - i + 1) | (1 << ri) - 1, (ri, *t)) for m, t in runs for ri in range(n - i + 2)
+                if all(t[j - i] + (j + 1 - i) <= ri for j in range(i, min(i + ri, n)))]
+    return sorted(runs, key=lambda mr: (sum(mr[1]), mr[0]))
 
 
 def typeA_torsion_classes(n):
-    """Subsets of the interval modules closed under quotients and extensions.
-
-    Quotients of the interval [i,j] are the prefixes [i,k]; the extension of
-    adjacent intervals [i,j], [j+1,l] has middle term [i,l].  Returned as
-    bitmasks over the intervals in lexicographic order.
-    """
-    if not 1 <= n <= 6:
-        raise ValueError("symbolic type-A model limited to 1 <= n <= 6")
-    ivs, idx = _interval_index(n)
-    k = len(ivs)
-    quot_mask = []
-    for (i, j) in ivs:
-        m = 0
-        for kk in range(i, j + 1):
-            m |= 1 << idx[(i, kk)]
-        quot_mask.append(m)
-    ext_with = [[] for _ in range(k)]  # t -> (other input, middle term) of each rule t enters
-    for (i, j) in ivs:
-        for l in range(j + 1, n + 1):
-            a, b, c = idx[(i, j)], idx[(j + 1, l)], idx[(i, l)]
-            ext_with[a].append((b, c))
-            ext_with[b].append((a, c))
-
-    def closure(mask, todo):
-        """The closure of mask, whose consequences are all in it except
-        those of the members in todo: each member is processed once, when
-        new, against the rules it enters with a member already present."""
-        while todo:
-            t = todo & -todo
-            todo ^= t
-            t = t.bit_length() - 1
-            new = quot_mask[t]
-            for b, c in ext_with[t]:
-                if mask >> b & 1:
-                    new |= 1 << c
-            new &= ~mask
-            mask |= new
-            todo |= new
-        return mask
-
-    gens = [closure(1 << t, 1 << t) for t in range(k)]
-    found = {0}
-    frontier = [0]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            j = closure(cur | g, g & ~cur)
-            if j not in found:
-                found.add(j)
-                frontier.append(j)
-    return sorted(found, key=lambda m: (bin(m).count("1"), m))
+    """Subsets of the interval modules closed under quotients and extensions,
+    as bitmasks over the intervals in lexicographic order, sorted by
+    (size, mask); ``_prefix_runs`` enumerates them."""
+    return [m for m, _ in _prefix_runs(n)]
 
 
 def typeA_torsion_lattice(n):
@@ -254,41 +232,25 @@ def typeA_tamari_map(n):
     """The lattice L of symbolic type-A torsion classes and its isomorphism
     onto ``tamari_lattice(n + 1)``, as the index of each class's tree there.
 
-    A class c is closed under quotients, so with [i,i] ... [i,i+r_i-1]
-    its prefix run at i, it holds those runs; c goes to the tree with
-    bracket vector (r_1, ..., r_n, 0).  The map is certified, with no
-    search, by three checks: c is exactly the union of its runs, the map
-    is a bijection onto the trees with n + 1 nodes, and it sends the
-    covers of L exactly onto the rotation covers.  A bijection that maps
-    covers onto covers is an order isomorphism, as each order is the
-    transitive closure of its covers.  A failed check raises
+    The class with prefix runs r goes to the tree with bracket vector
+    (r_1, ..., r_n, 0).  The map is certified, with no search, by two
+    checks: it is a bijection onto the trees with n + 1 nodes, and it
+    sends the covers of L exactly onto the rotation covers.  A bijection
+    that maps covers onto covers is an order isomorphism, as each order
+    is the transitive closure of its covers.  A failed check raises
     VerificationFailed.
     """
-    classes = typeA_torsion_classes(n)
-    ivs, _ = _interval_index(n)
-    labels = []
-    for c in classes:
-        mem = [f"M[{ivs[t][0]},{ivs[t][1]}]" for t in range(len(ivs)) if (c >> t) & 1]
-        labels.append("{" + ",".join(mem) + "}")
-    L = FinLattice.from_sets(classes, labels)
+    runs = _prefix_runs(n)
     _, vectors, rot = _rotation_graph(n + 1)
     with_vector = {v: i for i, v in enumerate(vectors)}
-    img = []
-    for c in classes:
-        runs, vec, start = 0, [], 0
-        for i in range(n):
-            block = c >> start & (1 << n - i) - 1
-            r = (~block & block + 1).bit_length() - 1
-            runs |= ((1 << r) - 1) << start
-            vec.append(r)
-            start += n - i
-        if runs != c:
-            raise VerificationFailed("a type-A class is not the union of its prefix runs", {"class": c})
-        img.append(with_vector.get((*vec, 0)))
-    if len(vectors) != L.n or None in img or len(set(img)) != L.n:
+    img = [with_vector.get((*r, 0)) for _, r in runs]
+    if len(vectors) != len(img) or None in img or len(set(img)) != len(img):
         raise VerificationFailed("the prefix runs are not a bijection onto the bracket vectors", {"n": n})
+    labels = ["{" + ",".join(f"M[{i},{j}]" for i, ri in enumerate(r, 1) for j in range(i, i + ri)) + "}"
+              for _, r in runs]
+    L = FinLattice.from_sets([m for m, _ in runs], labels)
     cov = L.covers()
     for x, y in enumerate(img):
         if sum(1 << img[z] for z in bits(cov[x])) != rot[y]:
-            raise VerificationFailed("a type-A cover is not a rotation", {"class": classes[x]})
+            raise VerificationFailed("a type-A cover is not a rotation", {"class": runs[x][0]})
     return L, img

@@ -45,7 +45,7 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-_KIND_BOUNDS = {"dyck": (1, 8), "tamari": (1, 8), "typeA": (1, 6)}
+_KIND_BOUNDS = {"dyck": (1, 8), "tamari": (1, 8), "typeA": (1, 7)}
 
 
 class UsageError(Exception):

@@ -224,7 +224,8 @@ class FinLattice(Poset):
     def opposite(self):
         """The order-dual lattice: meets and joins exchanged, and the
         element indices of up- and down-sets with them."""
-        op = self._dual(FinLattice(self.labels, self.down()))
+        op = FinLattice(self.labels, self.down())
+        object.__setattr__(op, "_down", self.up)
         object.__setattr__(op, "_up_index", self._down_index)
         object.__setattr__(op, "_down_index", self._up_index)
         return op

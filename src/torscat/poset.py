@@ -235,16 +235,8 @@ class Poset:
         return [(i, j) for i in range(self.n) for j in bits(self.covers()[i])]
 
     def opposite(self):
-        return self._dual(Poset(self.labels, self.down(), _checked=True))
-
-    def _dual(self, op):
-        """Fill the caches of ``op``, the order dual of self, with no walk:
-        its down-sets are self.up, and once the covers here are known, i
-        covers j in op iff j covers i here, so its covers are their
-        transpose."""
-        object.__setattr__(op, "_down", self.up)
-        if self._covers is not None:
-            object.__setattr__(op, "_covers", tuple(transpose(self._covers, self.n)))
+        op = Poset(self.labels, self.down(), _checked=True)
+        object.__setattr__(op, "_down", self.up)  # the dual's down-sets, with no walk
         return op
 
     def __eq__(self, other):
@@ -309,7 +301,7 @@ def _joint_colors(P, Q):
 
     def initial(X):
         cov_up = X.covers()
-        cov_dn = X.opposite().covers()
+        cov_dn = transpose(cov_up, X.n)  # i covers j in the dual iff j covers i
         dn = X.down()
         return (
             [

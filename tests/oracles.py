@@ -54,9 +54,10 @@ closure of its rotations, with ``rotations`` of its own.
 triple.  ``join_lift_isomorphic`` lifts each order isomorphism of the
 join-irreducibles through |J| joins per element, as ``lattice_isomorphic``
 did before it looked each element up by signature.
-``typeA_fixed_point_classes`` closes each set of type-A intervals by
-rescanning every rule until nothing changes, as ``typeA_torsion_classes``
-did before its worklist closure.
+``typeA_fixed_point_classes`` closes each set of type-A intervals
+(``typeA_intervals``, in lexicographic order) by rescanning every rule
+until nothing changes, a route independent of the prefix-run vectors that
+``typeA_torsion_classes`` enumerates.
 
 Nothing here imports a private name of ``torscat``.
 """
@@ -921,11 +922,17 @@ def join_lift_isomorphic(L, M):
 # -- symbolic type-A torsion classes by fixed-point closure -----------------------
 
 
+def typeA_intervals(n):
+    """The intervals [i,j], 1 <= i <= j <= n, in lexicographic order: the
+    bits of a symbolic type-A class."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+
 def typeA_fixed_point_classes(n):
     """The symbolic type-A torsion classes as ``typeA_torsion_classes``
     lists them, each closure a fixed-point iteration that rescans every
     interval and every extension rule until nothing changes."""
-    ivs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    ivs = typeA_intervals(n)
     idx = {iv: k for k, iv in enumerate(ivs)}
     k = len(ivs)
     quot_mask = [sum(1 << idx[(i, kk)] for kk in range(i, j + 1)) for (i, j) in ivs]

@@ -122,17 +122,17 @@ def test_typeA_counts(n, count):
     assert len(typeA_torsion_classes(n)) == count
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_typeA_worklist_closure_matches_the_fixed_point(n):
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_typeA_classes_match_the_fixed_point(n):
     assert typeA_torsion_classes(n) == typeA_fixed_point_classes(n)
 
 
 def test_typeA_bounds():
     with pytest.raises(ValueError):
-        typeA_torsion_classes(7)
+        typeA_torsion_classes(0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_typeA_isomorphic_to_tamari(n):
     # the explicit map is the isomorphism the search finds
     L, img = typeA_tamari_map(n)
@@ -155,11 +155,7 @@ def test_bracket_vector_tamari_is_certified_by_the_rotations(monkeypatch):
 
 def test_typeA_map_refuses_classes_that_are_not_typeA(capsys, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(catalan, "typeA_torsion_classes", lambda n: [0b000, 0b010])  # {[1,2]} lacks its quotient [1,1]
-        with pytest.raises(VerificationFailed, match="not the union of its prefix runs"):
-            typeA_tamari_map(2)
-    with monkeypatch.context() as m:
-        m.setattr(catalan, "typeA_torsion_classes", lambda n: [0b000, 0b001])  # a chain of 2, not 5 classes
+        m.setattr(catalan, "_prefix_runs", lambda n: [(0b000, (0, 0)), (0b001, (1, 0))])  # a chain of 2, not 5 classes
         with pytest.raises(VerificationFailed, match="not a bijection"):
             typeA_tamari_map(2)
     # one rotation fewer: the type-A covers keep that cover, so the check must refuse it

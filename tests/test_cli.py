@@ -32,9 +32,10 @@ def test_catalan_tamari_trivial(capsys):
 
 
 def test_catalan_typeA_with_iso(capsys):
-    code, out, _ = run(capsys, "catalan", "typeA", "3")
-    assert code == 0 and "size 14" in out
-    assert "isomorphic to tamari next: yes" in out
+    for n, size in (("3", "size 14"), ("7", "size 1430")):
+        code, out, _ = run(capsys, "catalan", "typeA", n)
+        assert code == 0 and size in out
+        assert "isomorphic to tamari next: yes" in out
 
 
 def test_catalan_tamari_congruence_uniform_beyond_5(capsys):
@@ -54,6 +55,8 @@ def test_field_7_example_at_dim_bound_3(capsys):
 def test_catalan_out_of_bounds(capsys):
     code, _, err = run(capsys, "catalan", "typeA", "9")
     assert code == 2 and "usage error" in err
+    code, _, err = run(capsys, "catalan", "typeA", "8")
+    assert code == 2 and "typeA supports 1 <= n <= 7, got 8" in err
 
 
 def test_omega_counts(capsys):

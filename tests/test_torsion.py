@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from oracles import RrefTorsion, extension_middles, has_splitter
+from oracles import RrefTorsion, extension_middles, has_splitter, typeA_intervals
 from test_algebra import truncated_polynomials
 
 from torscat import torsion
@@ -26,7 +26,7 @@ from torscat.algebra import (
     projective_cover,
     two_cycle_algebra,
 )
-from torscat.catalan import _interval_index, tamari_lattice, typeA_torsion_classes, typeA_torsion_lattice
+from torscat.catalan import tamari_lattice, typeA_torsion_classes, typeA_torsion_lattice
 from torscat.lattice import lattice_isomorphic
 from torscat.poset import Poset, bits, interval_poset
 from torscat.torsion import (
@@ -581,7 +581,7 @@ def test_verify_example_full():
 # -- typeA cross-module oracle ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_typeA_symbolic_matches_engine(n):
     A = path_algebra_An(n)
     ctx = ModuleContext.for_algebra(A, 2)
@@ -589,7 +589,7 @@ def test_typeA_symbolic_matches_engine(n):
     for t, m in enumerate(ctx.indecs):
         supp = [v for v, d in enumerate(m.dims) if d]
         iv_of[t] = (supp[0] + 1, supp[-1] + 1)
-    ivs, _ = _interval_index(n)
+    ivs = typeA_intervals(n)
     TL = enumerate_torsion_pairs(ctx)
     engine = {frozenset(iv_of[t] for t in bits(pr.tors_mask)) for pr in TL.pairs}
     symbolic = {frozenset(ivs[t] for t in bits(mask)) for mask in typeA_torsion_classes(n)}
