@@ -432,16 +432,34 @@ class Algebra:
 
         For a minimal projective resolution of S_u the multiplicity of the
         projective at v in the first step equals dim Ext^1(S_u, S_v); that
-        is the dimension of top(rad P_u) at v.
+        is the dimension of top(rad P_u) at v.  P_u is spanned by the basis
+        paths from u and rad P_u by those of positive length, e_u J with J
+        the span of all such paths; its radical is e_u J^2.  So the
+        multiplicity is dim e_u (J/J^2) e_v (Assem-Simson-Skowronski,
+        Elements I, III.2.12): the number of basis paths of positive length
+        from u to v, less the rank of the products of two of them that run
+        from u to v, read off ``mult`` with no module built.
         """
+        col, count = {}, {}  # basis path -> its column within its (src, tgt) block; block -> size
+        for k, pth in enumerate(self.paths):
+            if pth:
+                key = (self.src[k], self.tgt[k])
+                col[k] = count.get(key, 0)
+                count[key] = col[k] + 1
+        squares = {}  # (src, tgt) -> rows of the products of two paths of positive length
+        for (i, j), terms in self.mult.items():
+            if i in col and j in col and terms:
+                key = (self.src[i], self.tgt[j])
+                row = [0] * count[key]
+                for m, c in terms:
+                    row[col[m]] = c
+                squares.setdefault(key, []).append(row)
         out = []
-        for u in range(self.n_vertices):
-            P = self.projective(u)
-            radP, _ = P.sub(P.radical())
-            tops = radP.top_multiplicities()
-            for v, m in enumerate(tops):
-                if m:
-                    out.append((u, v, m))
+        for (u, v), n in sorted(count.items()):
+            rows = squares.get((u, v))
+            m = n - (Subspace.from_rows(rows, n, self.p).dim if rows else 0)
+            if m:
+                out.append((u, v, m))
         return out
 
     # -- serialization -------------------------------------------------------
@@ -666,10 +684,6 @@ class Module:
                                self.dims[v], A.p)
             for v in range(A.n_vertices)
         ]
-
-    def top_multiplicities(self):
-        rad = self.radical()
-        return [self.dims[v] - rad[v].dim for v in range(self.algebra.n_vertices)]
 
     def sub(self, subspaces):
         """Submodule on the given arrow-stable subspaces, with its inclusion."""

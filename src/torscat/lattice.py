@@ -9,6 +9,8 @@ from its bitmask rows.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 
 from .algebra import LimitExceeded
 from .poset import Poset, _containing, bits, covers_from_up, pair_rows, poset_isos, transitive_closure, transpose, unions
@@ -380,8 +382,21 @@ class Congruence:
         return "Congruence(" + "|".join(",".join(map(str, blk)) for blk in self.blocks()) + ")"
 
 
-def _congruence_sort_key(c):
-    return (-c.num_blocks(), c.block)
+def _congruence_key(sig, S):
+    """Where the congruence collapsing exactly the join-irreducibles in S
+    (see ``_collapse``) stands in the order ``all_congruences`` lists them,
+    finest first: (-#blocks, block), with block[x] the least element of x's
+    block.  Returns the key and block, an ``array('H')``; the key holds the
+    block packed as big-endian 16-bit bytes, which compare as the tuple
+    does (``PAIRWISE_CAP`` < 2^16 bounds the elements of a lattice whose
+    congruences are built).
+    """
+    first, keep = {}, ~S
+    block = array("H", [first.setdefault(m & keep, x) for x, m in enumerate(sig)])
+    packed = array("H", block)
+    if sys.byteorder == "little":
+        packed.byteswap()
+    return (-len(first), packed.tobytes()), block
 
 
 def _signatures(L):
@@ -443,26 +458,43 @@ def principal_congruence(L, a, b):
 def all_congruences(L):
     """Every congruence of L: one per D*-down-set of join-irreducibles (FJN Thm 2.35)."""
     below, sig = _dependency(L)
-    return sorted((_collapse(sig, S) for S in unions(below)), key=_congruence_sort_key)
+    return [_collapse(sig, S) for S in sorted(unions(below), key=lambda S: _congruence_key(sig, S)[0])]
 
 
 def congruence_lattice(L):
     """The lattice of all congruences of L, presented in the coarsening order.
 
-    The element set is exactly all_congruences(L); x <= y here means y
-    refines x, so the full congruence sits at the bottom and the discrete
-    one at the top.  This dual presentation is the one under which the
-    congruence lattice of the Tamari lattice matches the dominance order
-    on Dyck paths; the refinement-ordered lattice is its opposite, the
-    ideal lattice of the forcing poset.  It is built as the sets of
-    join-irreducibles j each congruence keeps apart from j_*, ordered by
-    inclusion.
+    The elements are the congruences of all_congruences(L), in its order;
+    x <= y here means y refines x, so the full congruence sits at the
+    bottom and the discrete one at the top.  This dual presentation is the
+    one under which the congruence lattice of the Tamari lattice matches
+    the dominance order on Dyck paths; the refinement-ordered lattice is
+    its opposite, the ideal lattice of the forcing poset.  Each element is
+    labelled by its blocks, "0,1|2".
+
+    A congruence collapsing exactly the D*-down-set S keeps the other
+    join-irreducibles j apart from j_*, so it is the D*-up-set full & ~S,
+    and Con(L) is the ring of D*-up-sets ordered by inclusion (FJN
+    Thm 2.35).  One pass per S gives the sort key and the label, and
+    ``FinLattice.from_ring`` certifies the up-sets against the rows of
+    D* transposed, the principal up-sets.
     """
-    congs = all_congruences(L)
-    ji = L.join_irreducibles()
-    apart = [sum(1 << t for t, (j, low) in enumerate(ji) if not c.collapses(j, low)) for c in congs]
-    labels = ["|".join(",".join(map(str, blk)) for blk in c.blocks()) for c in congs]
-    return FinLattice.from_sets(apart, labels)
+    below, sig = _dependency(L)
+    downs = list(unions(below))
+    check_size(len(downs))
+    names = [str(x) for x in range(L.n)]
+    keys, labels = [], []
+    for S in downs:
+        key, block = _congruence_key(sig, S)
+        blocks = {b: [] for b in dict.fromkeys(block)}
+        for b, name in zip(block, names):
+            blocks[b].append(name)
+        keys.append(key)
+        labels.append("|".join(map(",".join, blocks.values())))
+    order = sorted(range(len(downs)), key=keys.__getitem__)
+    del keys  # 2n bytes a congruence, freed before the certificate
+    k, full = len(below), (1 << len(below)) - 1
+    return FinLattice.from_ring([full & ~downs[i] for i in order], [labels[i] for i in order], rows=transpose(below, k))
 
 
 def forcing_poset(L):
@@ -479,7 +511,7 @@ def forcing_poset(L):
     gen = {}
     for a, b in L.cover_pairs():
         gen.setdefault(_generated(below, sig, a, b), (a, b))
-    ji = sorted(set(below), key=lambda S: _congruence_sort_key(_collapse(sig, S)))
+    ji = sorted(set(below), key=lambda S: _congruence_key(sig, S)[0])
     up = [sum(1 << j for j, T in enumerate(ji) if S & ~T == 0) for S in ji]
     labels = ["cg({},{})".format(*gen[S]) for S in ji]
     return Poset(labels, up)

@@ -16,6 +16,9 @@ nonzero class in Ext^1(X, Y), for the audit that torsion classes are closed
 under extensions.  ``ext_via_injectives`` computes Ext from an injective
 coresolution of the second argument rather than a projective resolution of
 the first.
+``ext_quiver_via_radicals`` reads the Ext quiver off the radicals of the
+projective modules, where the package reads it off J/J^2 in the
+multiplication table.
 
 ``orbit_indecomposables`` lists the indecomposables the way the package did
 before it knitted the Auslander-Reiten quiver: per dimension vector up to a
@@ -81,7 +84,7 @@ from torscat.algebra import (
     hom_dim,
 )
 from torscat.catalan import binary_trees, tree_to_parens
-from torscat.lattice import Congruence, FinLattice, NotALattice, VerificationFailed
+from torscat.lattice import Congruence, FinLattice, NotALattice, VerificationFailed, all_congruences
 from torscat.linalg import Matrix, Subspace, solve
 from torscat.poset import Poset, bits, poset_isos, transitive_closure
 
@@ -222,6 +225,22 @@ def ext_via_injectives(M, N, n):
     """dim Ext^n(M, N) from an injective coresolution of N: by duality it is
     dim Ext^n(DN, DM) over the opposite algebra."""
     return ext(N.dual(), M.dual(), n)
+
+
+def ext_quiver_via_radicals(A):
+    """The Ext quiver the way ``Algebra.ext_quiver`` read it before it used
+    J/J^2: rad P_u built as a submodule of the projective P_u, and the
+    dimension of its top at each vertex v, dim rad P_u - dim rad^2 P_u."""
+    out = []
+    for u in range(A.n_vertices):
+        P = A.projective(u)
+        radP, _ = P.sub(P.radical())
+        rad2 = radP.radical()
+        for v in range(A.n_vertices):
+            m = radP.dims[v] - rad2[v].dim
+            if m:
+                out.append((u, v, m))
+    return out
 
 
 # -- indecomposables by orbit search ---------------------------------------------
@@ -740,6 +759,19 @@ def cover_pair_is_congruence_uniform(L):
         if set(images) != ji_set:
             return False
     return True
+
+
+def partition_congruence_lattice(L):
+    """The congruence lattice the way ``congruence_lattice`` built it before
+    it read the D*-up-sets as a ring: one partition per congruence, each
+    join-irreducible j tested against its lower cover j_*, the apart sets
+    certified by ``FinLattice.from_sets`` and the labels read off the
+    partitions' blocks."""
+    congs = sorted(all_congruences(L), key=sort_key)
+    ji = L.join_irreducibles()
+    apart = [sum(1 << t for t, (j, low) in enumerate(ji) if not c.collapses(j, low)) for c in congs]
+    labels = ["|".join(",".join(map(str, blk)) for blk in c.blocks()) for c in congs]
+    return FinLattice.from_sets(apart, labels)
 
 
 # -- lattice predicates by sweeps over the tables --------------------------------

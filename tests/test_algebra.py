@@ -1,6 +1,8 @@
 import functools
 import itertools
 import operator
+import pathlib
+from collections import Counter
 
 import numpy as np
 import oracles
@@ -346,6 +348,32 @@ def test_ext_quiver_matches_ext(A):
     for u in range(A.n_vertices):
         for v in range(A.n_vertices):
             assert eq.get((u, v), 0) == ext(A.simple(u), A.simple(v), 1)
+
+
+RAD2_JSON = pathlib.Path(__file__).parent / "data" / "two_cycle_rad2.json"
+
+
+def ext_quiver_corpus():
+    """Algebras with the names they are reported under: int:2-6 and An:2-8
+    over F_2, the two-cycle algebras over F_2, F_3 and F_5, int:3 over F_3
+    and F_5, and the Kronecker algebra; each with its opposite."""
+    algebras = [(f"int:{n}", incidence_algebra(interval_poset(n))) for n in range(2, 7)]
+    algebras += [(f"An:{n}", path_algebra_An(n)) for n in range(2, 9)]
+    for p in (2, 3, 5):
+        algebras += [(f"two-cycle F_{p}", two_cycle_algebra(p)), (f"rad2 F_{p}", Algebra.from_json(RAD2_JSON.read_text(), p=p))]
+    algebras += [(f"int:3 F_{p}", incidence_algebra(interval_poset(3), p=p)) for p in (3, 5)]
+    algebras.append(("kronecker", Algebra.from_quiver(["1", "2"], [("a", 0, 1), ("b", 0, 1)], [])))
+    return algebras + [(name + " op", A.opposite()) for name, A in algebras]
+
+
+def test_ext_quiver_matches_radical_route_and_arrows():
+    # every algebra here is a path algebra modulo an admissible ideal
+    # (relations of length >= 2), so its Ext quiver is its quiver
+    for name, A in ext_quiver_corpus():
+        eq = A.ext_quiver()
+        assert eq == oracles.ext_quiver_via_radicals(A), name
+        arrows = Counter((a.src, a.tgt) for a in A.arrows)
+        assert eq == sorted((u, v, m) for (u, v), m in arrows.items()), name
 
 
 # -- global dimension -----------------------------------------------------------

@@ -22,7 +22,7 @@ from oracles import (
     tables,
 )
 
-from torscat import torsion
+from torscat import lattice, torsion
 from torscat.algebra import LimitExceeded, incidence_algebra
 from torscat.catalan import dyck_lattice, tamari_lattice, typeA_torsion_lattice
 from torscat.cli import main
@@ -559,6 +559,48 @@ def test_congruence_lattice_matches_refinement_order():
     for L in lattices + [L.opposite() for L in lattices]:
         C, oracle = congruence_lattice(L), cover_pair_congruence_lattice(L)
         assert C.up == oracle.up and C.labels == oracle.labels
+
+
+def assert_congruence_lattice_matches_partition_route(L):
+    for K in (L, L.opposite()):
+        C, oracle = congruence_lattice(K), oracles.partition_congruence_lattice(K)
+        assert C.up == oracle.up and C.labels == oracle.labels
+
+
+@pytest.mark.parametrize("build, ns", [
+    (lambda build: build(), [diamond, pentagon]),
+    (chain, range(1, 6)),
+    (tamari_lattice, range(1, 8)),
+    (dyck_lattice, range(1, 6)),
+    (typeA_torsion_lattice, range(1, 6)),
+    pytest.param(tamari_lattice, [8], marks=pytest.mark.extended),
+])
+def test_congruence_lattice_matches_partition_route(build, ns):
+    for n in ns:
+        assert_congruence_lattice_matches_partition_route(build(n))
+
+
+@pytest.mark.extended
+def test_partition_route_hits_the_same_cap_on_dyck6():
+    with pytest.raises(LimitExceeded, match="lattice of 32768 elements exceeds the cap of 8192 elements"):
+        oracles.partition_congruence_lattice(dyck_lattice(6))
+
+
+def test_corrupted_dependency_row_fails_the_ring_certificate(capsys, monkeypatch):
+    # a row of D* without its own join-irreducible is no preorder's
+    # principal down-set, so the up-sets are not the down-sets of the
+    # transposed rows
+    dependency = lattice._dependency
+
+    def corrupted(L):
+        below, sig = dependency(L)
+        return [below[0] & ~1] + list(below[1:]), sig
+
+    monkeypatch.setattr(lattice, "_dependency", corrupted)
+    with pytest.raises(VerificationFailed, match="not the down-sets of the rows"):
+        congruence_lattice(tamari_lattice(4))
+    assert main(["verify", "thm2", "--n", "4"]) == 1
+    assert "verification FAILED: the family is not the down-sets of the rows" in capsys.readouterr().err
 
 
 def test_verify_thm2_json_matches_cover_pair_route(capsys, monkeypatch):
