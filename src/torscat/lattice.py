@@ -9,8 +9,7 @@ from its bitmask rows.
 from __future__ import annotations
 
 import json
-import sys
-from array import array
+import struct
 
 from .algebra import LimitExceeded
 from .poset import Poset, _containing, bits, covers_from_up, pair_rows, poset_isos, transitive_closure, transpose, unions
@@ -386,17 +385,13 @@ def _congruence_key(sig, S):
     """Where the congruence collapsing exactly the join-irreducibles in S
     (see ``_collapse``) stands in the order ``all_congruences`` lists them,
     finest first: (-#blocks, block), with block[x] the least element of x's
-    block.  Returns the key and block, an ``array('H')``; the key holds the
-    block packed as big-endian 16-bit bytes, which compare as the tuple
-    does (``PAIRWISE_CAP`` < 2^16 bounds the elements of a lattice whose
-    congruences are built).
+    block.  Returns the key and the block list; the key holds the block
+    packed as big-endian 16-bit integers, bytes that compare as the tuple
+    does (``PAIRWISE_CAP`` < 2^16 bounds the elements of a lattice).
     """
     first, keep = {}, ~S
-    block = array("H", [first.setdefault(m & keep, x) for x, m in enumerate(sig)])
-    packed = array("H", block)
-    if sys.byteorder == "little":
-        packed.byteswap()
-    return (-len(first), packed.tobytes()), block
+    block = [first.setdefault(m & keep, x) for x, m in enumerate(sig)]
+    return (-len(first), struct.pack(f">{len(block)}H", *block)), block
 
 
 def _signatures(L):
