@@ -382,12 +382,15 @@ class Congruence:
 
 
 def _congruence_key(sig, S):
-    """Where the congruence collapsing exactly the join-irreducibles in S
-    (see ``_collapse``) stands in the order ``all_congruences`` lists them,
-    finest first: (-#blocks, block), with block[x] the least element of x's
-    block.  Returns the key and the block list; the key holds the block
-    packed as big-endian 16-bit integers, bytes that compare as the tuple
-    does (``PAIRWISE_CAP`` < 2^16 bounds the elements of a lattice).
+    """The congruence collapsing exactly the join-irreducibles in S onto
+    their lower covers, as its block list, with the key of its place in the
+    order ``all_congruences`` lists them, finest first.
+
+    x and y share a block iff the same join-irreducibles outside S lie
+    below both, and block[x] is the least element of x's block.  The key
+    is (-#blocks, block), with the block packed as big-endian 16-bit
+    integers, bytes that compare as the tuple does (``PAIRWISE_CAP`` <
+    2^16 bounds the elements of a lattice).  Returns (key, block).
     """
     first, keep = {}, ~S
     block = [first.setdefault(m & keep, x) for x, m in enumerate(sig)]
@@ -423,15 +426,6 @@ def _dependency(L):
     return transitive_closure(dep), sig
 
 
-def _collapse(sig, S):
-    """The congruence collapsing exactly the join-irreducibles in S onto their lower covers.
-
-    x and y share a block iff the same join-irreducibles outside S lie below both.
-    """
-    first = {}
-    return Congruence([first.setdefault(m & ~S, x) for x, m in enumerate(sig)])
-
-
 def _generated(below, sig, x, y):
     """The join-irreducibles that con(x, y) collapses, for x <= y.
 
@@ -447,13 +441,13 @@ def _generated(below, sig, x, y):
 def principal_congruence(L, a, b):
     """Smallest congruence of L identifying a and b: con(a ^ b, a v b), read off D*."""
     below, sig = _dependency(L)
-    return _collapse(sig, _generated(below, sig, L.meet(a, b), L.join(a, b)))
+    return Congruence(_congruence_key(sig, _generated(below, sig, L.meet(a, b), L.join(a, b)))[1])
 
 
 def all_congruences(L):
     """Every congruence of L: one per D*-down-set of join-irreducibles (FJN Thm 2.35)."""
     below, sig = _dependency(L)
-    return [_collapse(sig, S) for S in sorted(unions(below), key=lambda S: _congruence_key(sig, S)[0])]
+    return [Congruence(block) for _, block in sorted(_congruence_key(sig, S) for S in unions(below))]
 
 
 def congruence_lattice(L):
