@@ -9,14 +9,17 @@ and lattice congruences.
 """
 
 from .linalg import Matrix, NoSolution, Subspace, backend_name, solve
-from .poset import Poset, ideal_lattice, interval_poset, poset_isomorphic
+from .poset import Poset, interval_poset, poset_isomorphic
 from .lattice import (
     Congruence,
     FinLattice,
+    LimitExceeded,
     NotALattice,
+    VerificationFailed,
     all_congruences,
     congruence_lattice,
     forcing_poset,
+    ideal_lattice,
     is_congruence_uniform,
     lattice_isomorphic,
     principal_congruence,
@@ -27,14 +30,13 @@ from .catalan import (
     dyck_to_ideal,
     tamari_lattice,
     typeA_torsion_lattice,
+    verify_tamari_congruence_iso,
 )
 from .algebra import (
     Algebra,
     AlgebraError,
     AtLeast,
-    CertificateFailed,
     EndTooLarge,
-    LimitExceeded,
     Module,
     ModuleMap,
     ZeroModule,
@@ -59,7 +61,6 @@ from .torsion import (
     ModuleContext,
     TorsionLattice,
     TorsionPair,
-    VerificationFailed,
     enumerate_torsion_pairs,
     is_cohereditary,
     is_hereditary,
@@ -67,7 +68,6 @@ from .torsion import (
     is_split,
     omega_lattice_via_simples,
     verify_dyck_omega_iso,
-    verify_tamari_congruence_iso,
     verify_two_cycle_example,
 )
 

@@ -19,15 +19,15 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque, namedtuple
+from math import gcd
 
+from .lattice import LimitExceeded, VerificationFailed
 from .linalg import Matrix, NoSolution, Subspace, solve, vstack
 from .poset import Poset, bits
 
 __all__ = [
     "AlgebraError",
-    "CertificateFailed",
     "ZeroModule",
-    "LimitExceeded",
     "EndTooLarge",
     "AtLeast",
     "Arrow",
@@ -64,16 +64,8 @@ class AlgebraError(Exception):
     pass
 
 
-class CertificateFailed(AlgebraError):
-    """A computed result failed the check that certifies it; the input itself is well formed."""
-
-
 class ZeroModule(AlgebraError):
     pass
-
-
-class LimitExceeded(AlgebraError):
-    """A search or table cap was hit; the input itself is well formed."""
 
 
 class EndTooLarge(LimitExceeded):
@@ -135,6 +127,9 @@ def _normalize_relations(relations, arrows):
     return tuple(out)
 
 
+_PATH_LENGTH_CAP = 20  # from_quiver gives up on an algebra whose dimension has not stabilised by this path length
+
+
 class Algebra:
     """A basis b_0, ..., b_(d-1) of paths and its structure constants.
 
@@ -193,13 +188,13 @@ class Algebra:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_quiver(cls, vertex_labels, arrow_defs, relations, p=2, max_path_cap=20):
+    def from_quiver(cls, vertex_labels, arrow_defs, relations, p=2):
         """Quotient of the path algebra by the admissible ideal the relations generate.
 
         The basis is computed by truncating at increasing path lengths until
         the dimension stabilises: once the dimension at cutoff N equals the
         one at N+1, rad^N = 0 and the quotient is exact.  Raises when the
-        quotient is not finite-dimensional within ``max_path_cap``.
+        quotient is not finite-dimensional within ``_PATH_LENGTH_CAP``.
         """
         vlabels = [str(x) for x in vertex_labels]
         nv = len(vlabels)
@@ -276,9 +271,9 @@ class Algebra:
             dim_now = len(info[5])
             if prev is not None and prev == dim_now:
                 break
-            if N > max_path_cap:
+            if N > _PATH_LENGTH_CAP:
                 raise AlgebraError(
-                    f"dimension did not stabilise below path length {max_path_cap}; "
+                    f"dimension did not stabilise below path length {_PATH_LENGTH_CAP}; "
                     "the relations do not define a finite-dimensional algebra"
                 )
             prev_info, prev = info, dim_now
@@ -574,6 +569,9 @@ def two_cycle_algebra(p=2):
 # -- modules -----------------------------------------------------------------
 
 
+_SUBMODULE_CAP = 200_000  # Module.all_submodules stops past this many submodules
+
+
 class Module:
     __slots__ = ("algebra", "dims", "mats", "_pa_cache", "_key")
 
@@ -742,7 +740,7 @@ class Module:
                         frontier.append((a.tgt, y))
         return tuple(spans)
 
-    def all_submodules(self, cap=200_000):
+    def all_submodules(self):
         """Every submodule, as tuples of per-vertex subspaces.
 
         Cyclic submodules are generated from single-vertex vectors (enough,
@@ -768,8 +766,8 @@ class Module:
                     continue
                 new = tuple(b if a.is_zero() else a if b.is_zero() else a + b for a, b in zip(cur, cyc))
                 if new not in found:
-                    if len(found) >= cap:
-                        raise LimitExceeded(f"submodule lattice exceeds the cap of {cap} submodules")
+                    if len(found) >= _SUBMODULE_CAP:
+                        raise LimitExceeded(f"submodule lattice exceeds the cap of {_SUBMODULE_CAP} submodules")
                     found.add(new)
                     frontier.append(new)
         return sorted(
@@ -843,12 +841,6 @@ class ModuleMap:
 
     def is_surjective(self):
         return all(m.rank() == self.target.dims[v] for v, m in enumerate(self.mats))
-
-    def is_injective(self):
-        return all(m.rank() == self.source.dims[v] for v, m in enumerate(self.mats))
-
-    def is_iso(self):
-        return self.source.dims == self.target.dims and self.is_injective()
 
     def kernel_subspaces(self):
         return tuple(m.kernel() for m in self.mats)
@@ -992,7 +984,7 @@ def projective_cover(M):
     F = A.free_module(verts)
     pi = F.map_from_generators(M, gens)
     if not pi.is_surjective():
-        raise CertificateFailed("projective cover construction failed to surject")
+        raise VerificationFailed("projective cover construction failed to surject")
     return F, pi
 
 
@@ -1093,7 +1085,7 @@ def _resolution_stages(M, length):
                 F, pi = projective_cover(K)
                 d = incl.compose(pi)
                 if not _radical_columns(d):
-                    raise CertificateFailed("resolution differential escapes the radical")
+                    raise VerificationFailed("resolution differential escapes the radical")
                 K2, incl2 = F.module.sub(pi.kernel_subspaces())
                 stages.append((F, d, K2, incl2))
     return stages
@@ -1149,20 +1141,23 @@ def ext(M, N, n):
     return dim_hom - rank_in - rank_out
 
 
-def global_dimension(A, probe_bound=12):
-    """Max projective dimension over the simples, probing up to probe_bound."""
+_PD_PROBE = 12  # global_dimension takes at most this many syzygies of each simple
+
+
+def global_dimension(A):
+    """Max projective dimension over the simples, probing up to ``_PD_PROBE``."""
     best = 0
     for v in range(A.n_vertices):
         S = A.simple(v)
         pd = None
         cur = S
-        for i in range(probe_bound + 1):
+        for i in range(_PD_PROBE + 1):
             if cur.is_zero():
                 pd = max(0, i - 1)
                 break
             cur = syzygy(cur)
         if pd is None:
-            return AtLeast(probe_bound)
+            return AtLeast(_PD_PROBE)
         best = max(best, pd)
     return best
 
@@ -1188,7 +1183,7 @@ def _try_split(M, mats):
     M1, _ = M.sub(ims)
     M2, _ = M.sub(kers)
     if M1.total_dim + M2.total_dim != M.total_dim:
-        raise CertificateFailed("Fitting decomposition dimensions inconsistent")
+        raise VerificationFailed("Fitting decomposition dimensions inconsistent")
     return M1, M2
 
 
@@ -1426,7 +1421,7 @@ def _almost_split_middle(X, Z):
     End(X)-module (postcomposition), cut out by ``_local_radical``; when X
     is a brick every nonzero class is in the socle.  An End(X) that is not
     local with residue field F_p fails the certificate the knitting (and
-    ``mesh_hom_dims``) relies on, and raises CertificateFailed.
+    ``mesh_hom_dims``) relies on, and raises VerificationFailed.
     """
     p = X.algebra.p
     cocycles, boundaries = ext1_space(Z, X)
@@ -1435,7 +1430,7 @@ def _almost_split_middle(X, Z):
     if len(ends) > 1:
         rad = _local_radical(X, ends)
         if rad is None:
-            raise CertificateFailed(f"End of the module with dimension vector {X.dims} is not local over F_p")
+            raise VerificationFailed(f"End of the module with dimension vector {X.dims} is not local over F_p")
         F1 = _resolution_stages(Z, 1)[1][0]
         offs = _offsets(X.dims[v] for v in F1.verts)
         Q = boundaries.matrix().kernel().matrix()  # Q x = 0 iff x is a boundary
@@ -1449,7 +1444,7 @@ def _almost_split_middle(X, Z):
     for xi in C.a:
         if not boundaries.contains_vector(xi):
             return extension_middle(Z, X, xi)
-    raise CertificateFailed(f"Ext^1(tau^-1 X, X) has no socle class for X of dimension vector {X.dims}")
+    raise VerificationFailed(f"Ext^1(tau^-1 X, X) has no socle class for X of dimension vector {X.dims}")
 
 
 # -- enumeration of indecomposables -------------------------------------------
@@ -1586,8 +1581,6 @@ def _fraction_free_solve(rows, rhs):
     [(d, b), ...] with d * X[c] = b for each column c, or None if rows is
     singular.
     """
-    from math import gcd
-
     n = len(rows)
     aug = [list(r) + list(b) for r, b in zip(rows, rhs)]
     pivots, free = [], set(range(n))
@@ -1636,7 +1629,7 @@ def mesh_hom_dims(indecs, ar):
 
     The solution is certified: every entry is an integer >= 0, h(X, X) >= 1,
     and h(X, I(v)) = (dim X)_v for every X and v, an identity on columns
-    that no row states.  A failure raises CertificateFailed.
+    that no row states.  A failure raises VerificationFailed.
     """
     k, dims = len(indecs), [M.dims for M in indecs]
     cartan = [list(dims[i]) for i in ar.projectives]
@@ -1650,7 +1643,7 @@ def mesh_hom_dims(indecs, ar):
         if z in vertex_of:
             b = [d[vertex_of[z]] for d in dims]
         elif ar.tau[z] is None or not ar.middle[z]:
-            raise CertificateFailed(f"mesh certificate fails: no almost split sequence ends at M_{z}")
+            raise VerificationFailed(f"mesh certificate fails: no almost split sequence ends at M_{z}")
         else:
             for e, mult in ar.middle[z].items():
                 row[e] -= mult
@@ -1660,15 +1653,15 @@ def mesh_hom_dims(indecs, ar):
         rhs.append(b)
     solved = _fraction_free_solve(rows, rhs)
     if solved is None:
-        raise CertificateFailed("mesh certificate fails: the mesh system is singular but the Cartan matrix is not")
+        raise VerificationFailed("mesh certificate fails: the mesh system is singular but the Cartan matrix is not")
     table = []
     for i, (d, b) in enumerate(solved):
         if any(x % d for x in b):
-            raise CertificateFailed(f"mesh certificate fails: a Hom dimension out of M_{i} is not an integer")
+            raise VerificationFailed(f"mesh certificate fails: a Hom dimension out of M_{i} is not an integer")
         row = [x // d for x in b]
         if min(row) < 0 or row[i] < 1:
-            raise CertificateFailed(f"mesh certificate fails: Hom dimensions out of M_{i} are {row}")
+            raise VerificationFailed(f"mesh certificate fails: Hom dimensions out of M_{i} are {row}")
         if [row[j] for j in ar.injectives] != list(dims[i]):
-            raise CertificateFailed(f"mesh certificate fails: Hom(M_{i}, I(v)) is not (dim M_{i})_v")
+            raise VerificationFailed(f"mesh certificate fails: Hom(M_{i}, I(v)) is not (dim M_{i})_v")
         table.append(row)
     return table

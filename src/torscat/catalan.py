@@ -4,15 +4,23 @@ Dyck paths under pointwise height dominance, the Tamari lattice of binary
 trees under rotation, and a symbolic model of the torsion classes of the
 linearly oriented type-A path algebra on interval supports, enumerated as
 their prefix-run vectors, which are the Tamari bracket vectors with a
-trailing 0 dropped.
+trailing 0 dropped.  ``verify_tamari_congruence_iso`` checks that the
+congruence lattice of the Tamari lattice is the Dyck lattice.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattice import FinLattice, VerificationFailed, check_size
-from .poset import Poset, bits, interval_poset
+from .lattice import (
+    FinLattice,
+    VerificationFailed,
+    check_size,
+    congruence_lattice,
+    forcing_poset,
+    lattice_isomorphic,
+)
+from .poset import Poset, bits, interval_poset, poset_isomorphic
 
 __all__ = [
     "dyck_paths",
@@ -24,6 +32,7 @@ __all__ = [
     "typeA_torsion_classes",
     "typeA_torsion_lattice",
     "typeA_tamari_map",
+    "verify_tamari_congruence_iso",
 ]
 
 
@@ -254,3 +263,35 @@ def typeA_tamari_map(n):
         if sum(1 << img[z] for z in bits(cov[x])) != rot[y]:
             raise VerificationFailed("a type-A cover is not a rotation", {"class": runs[x][0]})
     return L, img
+
+
+# -- the congruence lattice of the Tamari lattice -------------------------------
+
+
+def verify_tamari_congruence_iso(n):
+    """Congruence lattice of the Tamari lattice against the Dyck lattice, plus
+    the forcing poset against the reverse-containment interval poset."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    T = tamari_lattice(n)
+    C = congruence_lattice(T)
+    D = dyck_lattice(n)
+    phi = lattice_isomorphic(C, D)
+    if phi is None:
+        raise VerificationFailed(
+            "congruence lattice of the Tamari lattice does not match the Dyck lattice",
+            {"n": n, "con_size": C.n, "dyck_size": D.n},
+        )
+    FP = forcing_poset(T)
+    psi = poset_isomorphic(FP, interval_poset(n - 1).opposite())
+    if psi is None:
+        raise VerificationFailed("forcing poset does not match reverse interval containment", {"n": n})
+    return {
+        "n": n,
+        "tamari_size": T.n,
+        "con_size": C.n,
+        "dyck_size": D.n,
+        "iso": phi,
+        "forcing_size": FP.n,
+        "forcing_iso": psi,
+    }

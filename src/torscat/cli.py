@@ -13,20 +13,19 @@ import sys
 from .algebra import (
     Algebra,
     AlgebraError,
-    CertificateFailed,
-    LimitExceeded,
+    Module,
+    decompose,
     incidence_algebra,
     path_algebra_An,
     two_cycle_algebra,
 )
-from .catalan import dyck_lattice, tamari_lattice, typeA_torsion_lattice
-from .lattice import FinLattice, is_congruence_uniform
+from .catalan import dyck_lattice, tamari_lattice, typeA_torsion_lattice, verify_tamari_congruence_iso
+from .lattice import FinLattice, LimitExceeded, VerificationFailed, is_congruence_uniform
 from .linalg import MAX_PRIME
 from .poset import Poset, interval_poset
 from .torsion import (
     BudgetExceeded,
     ModuleContext,
-    VerificationFailed,
     enumerate_torsion_pairs,
     is_cohereditary,
     is_hereditary,
@@ -36,7 +35,6 @@ from .torsion import (
     torsion_lattice_report,
     torsion_lattice_to_dot,
     verify_dyck_omega_iso,
-    verify_tamari_congruence_iso,
     verify_two_cycle_example,
 )
 
@@ -218,8 +216,6 @@ def cmd_verify(args):
 
 def cmd_module(args):
     A = parse_algebra_spec(args.algebra, p=args.field, opposite=args.op)
-    from .algebra import Module, decompose
-
     with open(args.module) as fh:
         M = Module.from_json(A, json.load(fh))
     parts = decompose(M)
@@ -337,18 +333,12 @@ def main(argv=None):
         ap.error(f"--field must be at most {MAX_PRIME}")
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as err:
+    except (UsageError, FileNotFoundError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except LimitExceeded as err:
         print(f"limit exceeded: {err}", file=sys.stderr)
         return EXIT_BUDGET
-    except CertificateFailed as err:
-        print(f"verification FAILED: {err}", file=sys.stderr)
-        return EXIT_VERIFICATION
     except (json.JSONDecodeError, KeyError, ValueError, AlgebraError) as err:
         print(f"usage error: cannot parse input ({err})", file=sys.stderr)
         return EXIT_USAGE

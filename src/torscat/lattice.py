@@ -3,7 +3,9 @@
 Lattice axioms, (semi)distributivity, join-irreducibles, congruences, the
 congruence lattice and the forcing poset of join-irreducible congruences.
 A lattice is a ``Poset`` whose meets and joins exist; they are looked up
-from its bitmask rows.
+from its bitmask rows.  The two failures every layer above raises live
+here: ``VerificationFailed`` (a certificate failed) and ``LimitExceeded``
+(a cap was hit).
 """
 
 from __future__ import annotations
@@ -11,15 +13,16 @@ from __future__ import annotations
 import json
 import struct
 
-from .algebra import LimitExceeded
 from .poset import Poset, _containing, bits, covers_from_up, pair_rows, poset_isos, transitive_closure, transpose, unions
 
 __all__ = [
+    "LimitExceeded",
     "NotALattice",
     "VerificationFailed",
     "FinLattice",
     "check_size",
     "downset_lattice",
+    "ideal_lattice",
     "Congruence",
     "principal_congruence",
     "all_congruences",
@@ -33,6 +36,10 @@ __all__ = [
 # from_sets builds n inclusion rows of n bits and certifies meets in n |M| lookups,
 # M a subset of the members: at most n^2 = 67M lookups at this cap.
 PAIRWISE_CAP = 8192
+
+
+class LimitExceeded(Exception):
+    """A search or table cap was hit; the input itself is well formed."""
 
 
 def check_size(n):
@@ -272,10 +279,7 @@ class FinLattice(Poset):
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
-        return {
-            "size": self.n,
-            "leq": [[i, j] for i in range(self.n) for j in bits(self.up[i])],
-        }
+        return {"size": self.n, "leq": self.leq_pairs()}
 
     @classmethod
     def from_json(cls, data, labels=None):
@@ -322,6 +326,11 @@ def downset_lattice(rows, labels):
     masks = sorted(unions(rows), key=lambda m: (bin(m).count("1"), m))
     labels = ["{" + ",".join(labels[i] for i in bits(m)) + "}" for m in masks]
     return FinLattice.from_ring(masks, labels, rows)
+
+
+def ideal_lattice(P):
+    """The distributive lattice of order ideals of P (meet/join = intersection/union)."""
+    return downset_lattice(P.down(), P.labels)
 
 
 # -- congruences -------------------------------------------------------------

@@ -18,7 +18,6 @@ __all__ = [
     "Subspace",
     "NoSolution",
     "solve",
-    "hstack",
     "vstack",
     "backend_name",
     "MAX_PRIME",
@@ -178,17 +177,6 @@ class Matrix:
         """Column space as a Subspace of F_p^rows."""
         return Subspace.from_rows(self.columns(), self.shape[0], self.p)
 
-    def row_space(self):
-        return Subspace.from_rows(self.a, self.shape[1], self.p)
-
-
-def hstack(mats):
-    mats = list(mats)
-    if len({m.rows for m in mats}) != 1:
-        raise ValueError("hstack needs matrices with equal row counts")
-    rows = tuple(sum(parts, ()) for parts in zip(*(m.a for m in mats)))
-    return Matrix(rows, mats[0].p, sum(m.cols for m in mats), _checked=True)
-
 
 def vstack(mats):
     mats = list(mats)
@@ -256,9 +244,6 @@ class Subspace:
     def is_zero(self):
         return not self.basis
 
-    def is_full(self):
-        return len(self.basis) == self.ambient
-
     def reduce_vector(self, v):
         """Residue of v after eliminating all pivot coordinates, as a list."""
         p = self.p
@@ -292,19 +277,6 @@ class Subspace:
         if self.ambient != other.ambient or self.p != other.p:
             raise ValueError("ambient mismatch")
         return Subspace.from_rows(self.basis + other.basis, self.ambient, self.p)
-
-    def intersection(self, other):
-        if self.ambient != other.ambient or self.p != other.p:
-            raise ValueError("ambient mismatch")
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.ambient, self.p)
-        # x = a . B1 = b . B2; kernel of [B1^T | -B2^T] gives the (a, b).
-        p, d = self.p, self.dim
-        stacked = Matrix(self.basis + tuple(tuple(-x % p for x in row) for row in other.basis), p, self.ambient)
-        ker = stacked.T.kernel()
-        coeffs = Matrix(tuple(row[:d] for row in ker.basis), p, d, _checked=True)
-        rows = coeffs @ self.matrix()
-        return Subspace.from_rows(rows.a, self.ambient, p)
 
     def free_coords(self):
         """Coordinates not used as pivots; standard vectors there span a complement."""

@@ -1,4 +1,4 @@
-"""Finite posets, interval posets of total orders and their order ideals.
+"""Finite posets, interval posets of total orders and bit-matrix kernels.
 
 Elements are indexed 0..n-1 with display labels; the order relation is
 stored as one bitmask per element (``up[i]`` has bit j set iff i <= j).
@@ -14,7 +14,6 @@ from itertools import chain
 __all__ = [
     "Poset",
     "interval_poset",
-    "ideal_lattice",
     "poset_isomorphic",
     "poset_isos",
 ]
@@ -252,9 +251,12 @@ class Poset:
 
     # -- serialization -----------------------------------------------------
 
+    def leq_pairs(self):
+        """The order as the JSON list of its pairs [i, j], i <= j, by i then j."""
+        return [[i, j] for i in range(self.n) for j in bits(self.up[i])]
+
     def to_json(self):
-        pairs = [[i, j] for i in range(self.n) for j in bits(self.up[i])]
-        return {"elements": list(self.labels), "leq": pairs}
+        return {"elements": list(self.labels), "leq": self.leq_pairs()}
 
     @classmethod
     def from_json(cls, data):
@@ -284,13 +286,6 @@ def interval_poset(n):
     up = [sum(1 << t for t, (k, l) in enumerate(ivs) if k <= i and j <= l) for i, j in ivs]
     labels = [f"[{i},{j}]" for (i, j) in ivs]
     return Poset(labels, up, _checked=True)
-
-
-def ideal_lattice(P):
-    """The distributive lattice of order ideals of P (meet/join = intersection/union)."""
-    from .lattice import downset_lattice
-
-    return downset_lattice(P.down(), P.labels)
 
 
 # -- isomorphism search ----------------------------------------------------

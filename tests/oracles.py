@@ -74,7 +74,6 @@ import numpy as np
 
 from torscat.algebra import (
     EndTooLarge,
-    LimitExceeded,
     Module,
     ModuleMap,
     ext1_space,
@@ -84,7 +83,7 @@ from torscat.algebra import (
     hom_dim,
 )
 from torscat.catalan import binary_trees, tree_to_parens
-from torscat.lattice import Congruence, FinLattice, NotALattice, VerificationFailed, all_congruences
+from torscat.lattice import Congruence, FinLattice, LimitExceeded, NotALattice, VerificationFailed, all_congruences
 from torscat.linalg import Matrix, Subspace, solve
 from torscat.poset import Poset, bits, poset_isos, transitive_closure
 

@@ -14,8 +14,15 @@ from torscat.catalan import (
     typeA_torsion_lattice,
 )
 from torscat.cli import main
-from torscat.lattice import FinLattice, VerificationFailed, congruence_lattice, is_congruence_uniform, lattice_isomorphic
-from torscat.poset import Poset, ideal_lattice, interval_poset, unions
+from torscat.lattice import (
+    FinLattice,
+    VerificationFailed,
+    congruence_lattice,
+    ideal_lattice,
+    is_congruence_uniform,
+    lattice_isomorphic,
+)
+from torscat.poset import Poset, interval_poset, unions
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 

@@ -177,7 +177,7 @@ def test_submodule_cap_exit_code(tmp_path, capsys, monkeypatch):
     # 200,000 submodules, so the cap is lowered to 3
     spec = tmp_path / "x3.json"
     spec.write_text(json.dumps(X3))
-    monkeypatch.setattr(algebra.Module.all_submodules, "__defaults__", (3,))
+    monkeypatch.setattr(algebra, "_SUBMODULE_CAP", 3)
     code, out, err = run(capsys, "--dim-bound", "3", "tors", str(spec))
     assert (code, out, err) == (3, "", "limit exceeded: submodule lattice exceeds the cap of 3 submodules\n")
 

@@ -22,23 +22,25 @@ from oracles import (
     tables,
 )
 
-from torscat import lattice, torsion
-from torscat.algebra import LimitExceeded, incidence_algebra
+from torscat import catalan, lattice, torsion
+from torscat.algebra import incidence_algebra
 from torscat.catalan import dyck_lattice, tamari_lattice, typeA_torsion_lattice
 from torscat.cli import main
 from torscat.lattice import (
     Congruence,
     FinLattice,
+    LimitExceeded,
     NotALattice,
     VerificationFailed,
     all_congruences,
     congruence_lattice,
     forcing_poset,
+    ideal_lattice,
     is_congruence_uniform,
     lattice_isomorphic,
     principal_congruence,
 )
-from torscat.poset import Poset, bits, ideal_lattice, interval_poset, poset_isomorphic, transpose, unions
+from torscat.poset import Poset, bits, interval_poset, poset_isomorphic, transpose, unions
 
 
 def pentagon():
@@ -611,8 +613,8 @@ def test_verify_thm2_json_matches_cover_pair_route(capsys, monkeypatch):
         return capsys.readouterr().out
 
     fast = [thm2_json(n) for n in range(2, 7)]
-    monkeypatch.setattr(torsion, "congruence_lattice", cover_pair_congruence_lattice)
-    monkeypatch.setattr(torsion, "forcing_poset", cover_pair_forcing_poset)
+    monkeypatch.setattr(catalan, "congruence_lattice", cover_pair_congruence_lattice)
+    monkeypatch.setattr(catalan, "forcing_poset", cover_pair_forcing_poset)
     assert fast == [thm2_json(n) for n in range(2, 7)]
 
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from oracles import is_partial_order
 
 from torscat.catalan import dyck_lattice, tamari_lattice
+from torscat.lattice import ideal_lattice
 from torscat.poset import (
     Poset,
     bits,
     covers_from_up,
-    ideal_lattice,
     interval_poset,
     poset_isomorphic,
     poset_isos,

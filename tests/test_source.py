@@ -43,6 +43,30 @@ def test_exports_resolve():
     assert missing == [] and stale == []
 
 
+LAYERS = ["_kernels", "linalg", "poset", "lattice", "catalan", "algebra", "torsion", "cli"]
+
+
+def test_layer_order():
+    # each module imports only modules below it in LAYERS, and only at its top
+    # level, so the lattice side imports nothing from the module layer; the
+    # package __init__ re-exports every layer but the CLI
+    rank = {name: i for i, name in enumerate(LAYERS)}
+    rank["__init__"] = rank["cli"]
+    pkg = Path(torscat.__file__).parent
+    assert sorted(rank) == sorted(path.stem for path in pkg.glob("*.py"))
+    upward, nested = [], []
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = set(tree.body)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [alias.name for alias in node.names]
+                upward += [f"{path.stem} -> {t}" for t in targets if rank[t] >= rank[path.stem]]
+                if node not in top:
+                    nested.append(f"{path.name}:{node.lineno}")
+    assert upward == [] and nested == []
+
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 

@@ -12,7 +12,6 @@ from test_algebra import truncated_polynomials
 from torscat import torsion
 from torscat.algebra import (
     Algebra,
-    AlgebraError,
     _local_radical,
     ar_quiver,
     ext,
@@ -263,7 +262,7 @@ def test_mesh_certificate_catches_a_dropped_middle_summand():
         middle = list(ar.middle)
         middle[z] = {**middle[z], e: middle[z][e] + extra}
         ctx = ModuleContext(A, indecs, ar._replace(middle=tuple(middle)))
-        with pytest.raises(AlgebraError, match="mesh certificate fails"):
+        with pytest.raises(VerificationFailed, match="mesh certificate fails"):
             ctx.hom_table()
 
 
